@@ -1,7 +1,7 @@
 """Numerical verification toolkit for a q-difference starlike function class.
 
-The package covers four layers: exact q-arithmetic (brackets, factorials,
-Pochhammer products, criterion weights), truncated power series with the
+The package covers four layers: exact q-arithmetic (brackets, Ruscheweyh
+kernel coefficients, criterion weights), truncated power series with the
 q-difference derivative and the Ruscheweyh convolution operator, membership
 machinery (sufficient coefficient test, extremal members, criterion
 sampling), and the verification suite for integral-means and subordination
@@ -13,8 +13,6 @@ from .qcore import (
     basic_number,
     criterion_weight,
     criterion_weights,
-    q_factorial,
-    q_pochhammer,
     ruscheweyh_coeff,
 )
 from .series import (
@@ -73,8 +71,6 @@ __all__ = [
     "basic_number",
     "criterion_weight",
     "criterion_weights",
-    "q_factorial",
-    "q_pochhammer",
     "ruscheweyh_coeff",
     "DEFAULT_RADII",
     "DiscPoint",

@@ -22,8 +22,8 @@ from .series import (
     SampleGrid,
     Sign,
     poly_eval,
+    q_derivative,
     ruscheweyh,
-    ruscheweyh_q_derivative,
 )
 
 # |R f(z)| below this is no longer trusted in double precision; the ratio
@@ -106,12 +106,13 @@ def extremal_function(n: int, params: ClassParams) -> PowerSeries:
 
 def _criterion_margins(f: PowerSeries, params: ClassParams, z: np.ndarray) -> np.ndarray:
     """Margins of the analytic criterion at an array of disc points."""
-    den = poly_eval(ruscheweyh(f, params).full(), z)
+    g = ruscheweyh(f, params)
+    den = poly_eval(g.full(), z)
     if np.min(np.abs(den)) < DEGENERATE_TOL:
         raise DegenerateDenominatorError(
             "Ruscheweyh transform vanishes at a sample point"
         )
-    w = z * poly_eval(ruscheweyh_q_derivative(f, params), z) / den
+    w = z * poly_eval(q_derivative(g, params.q), z) / den
     return w.real - params.alpha - params.k * np.abs(w - 1.0)
 
 

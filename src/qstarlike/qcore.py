@@ -1,13 +1,15 @@
-"""q-arithmetic primitives: brackets, factorials, Pochhammer products, and
-the coefficient weights of the starlike membership criterion.
+"""q-arithmetic primitives: brackets, the Ruscheweyh kernel coefficients,
+and the coefficient weights of the starlike membership criterion.
 
-Every function here is a pure function of plain floats.  Ratios of q-gamma
-values are always reduced to finite Pochhammer products, so the gamma
-function is never evaluated at a non-integer argument.
+Brackets use expm1, which stays accurate as q -> 1.  The kernel for
+n = 2..top is one O(top) vectorized pass of running products, so q-gamma
+ratios are always reduced to finite products and the gamma function is
+never evaluated at a non-integer argument.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,51 +44,60 @@ class ClassParams:
             raise ValueError(f"trunc must be >= 2, got {self.trunc}")
 
 
-def basic_number(t: float, q: float) -> float:
-    """[t] = (1 - q**t) / (1 - q); equals 1 + q + ... + q**(t-1) for integer
-    t and tends to t as q -> 1."""
-    return (1.0 - q**t) / (1.0 - q)
+def basic_number(t, q: float):
+    """[t] = (1 - q**t) / (1 - q), computed as expm1(t log q) / expm1(log q).
+
+    Equals 1 + q + ... + q**(t-1) for integer t and tends to t as q -> 1.
+    t may be a float or an array; the result is a float or an array.
+    """
+    log_q = math.log(q)
+    out = np.expm1(np.multiply(t, log_q)) / np.expm1(log_q)
+    return out if out.ndim else float(out)
 
 
-def q_factorial(n: int, q: float) -> float:
-    """[n]! = [1][2]...[n]; empty product 1 for n = 0."""
-    out = 1.0
-    for j in range(1, n + 1):
-        out *= basic_number(j, q)
-    return out
+def kernel_coeffs(lam: float, q: float, top: int) -> np.ndarray:
+    """Ruscheweyh kernel coefficients [lam+1]_{n-1} / [n-1]! for n = 2..top.
 
-
-def q_pochhammer(t: float, n: int, q: float) -> float:
-    """Rising product [t][t+1]...[t+n-1] of q-brackets; [t]_0 = 1."""
-    out = 1.0
-    for j in range(n):
-        out *= basic_number(t + j, q)
-    return out
+    Each is the running product of [lam+1+j] over j < n-1 divided by the
+    running product of [j+1].  Where either product overflows, the running
+    product of the ratios [lam+1+j] / [j+1] is used instead.
+    """
+    j = np.arange(top - 1, dtype=float)
+    upper = basic_number((lam + 1.0) + j, q)
+    lower = basic_number(j + 1.0, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = np.cumprod(upper), np.cumprod(lower)
+        kernel = num / den
+    overflow = ~(np.isfinite(num) & np.isfinite(den))
+    if overflow.any():
+        kernel[overflow] = np.cumprod(upper / lower)[overflow]
+    return kernel
 
 
 def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
-    """Coefficient of z**n in the Ruscheweyh convolution kernel.
-
-    Computed as the Pochhammer ratio [lam+1]_{n-1} / [n-1]!, the reduced
-    form of the defining q-gamma ratio.  Requires n >= 2 and lam > -1 so
-    every factor is strictly positive.
-    """
-    return q_pochhammer(lam + 1.0, n - 1, q) / q_factorial(n - 1, q)
-
-
-def criterion_weight(n: int, params: ClassParams) -> float:
-    """Weight multiplying |a_n| in the sufficient membership condition:
-    ([n](1+k) - k - alpha) times the kernel coefficient.
-
-    Strictly positive for n >= 2 under the parameter domain, since
-    [n] >= 1 + q > 1 >= (k + alpha) / (1 + k).
-    """
-    bracket = basic_number(n, params.q)
-    factor = bracket * (1.0 + params.k) - params.k - params.alpha
-    return factor * ruscheweyh_coeff(n, params.lam, params.q)
+    """Coefficient of z**n in the Ruscheweyh convolution kernel, n >= 2:
+    the last entry of kernel_coeffs(lam, q, n)."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    return float(kernel_coeffs(lam, q, n)[-1])
 
 
 def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarray:
-    """Weights for n = 2..order as an array (order defaults to trunc)."""
+    """Weights ([n](1+k) - k - alpha) * kernel_n multiplying |a_n| in the
+    sufficient membership condition, for n = 2..order (default trunc).
+
+    Strictly positive under the parameter domain, since
+    [n] >= 1 + q > 1 >= (k + alpha) / (1 + k).
+    """
     top = params.trunc if order is None else order
-    return np.array([criterion_weight(n, params) for n in range(2, top + 1)])
+    bracket = basic_number(np.arange(2.0, top + 1.0), params.q)
+    factor = bracket * (1.0 + params.k) - params.k - params.alpha
+    return factor * kernel_coeffs(params.lam, params.q, top)
+
+
+def criterion_weight(n: int, params: ClassParams) -> float:
+    """Weight of |a_n| in the membership condition, n >= 2: the last entry
+    of criterion_weights(params, order=n)."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    return float(criterion_weights(params, order=n)[-1])

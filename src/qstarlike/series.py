@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .qcore import ClassParams, ruscheweyh_coeff
+from .qcore import ClassParams, basic_number, kernel_coeffs
 
 
 class Sign(enum.Enum):
@@ -128,8 +128,7 @@ def q_derivative(f: PowerSeries, q: float) -> np.ndarray:
     constant term is the z -> 0 value f'(0) = 1.
     """
     c = f.full()
-    brackets = (1.0 - q ** np.arange(1.0, len(c))) / (1.0 - q)
-    return brackets * c[1:]
+    return basic_number(np.arange(1.0, len(c)), q) * c[1:]
 
 
 def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -158,10 +157,7 @@ def ruscheweyh_kernel(params: ClassParams) -> PowerSeries:
     Tail coefficients are [lam+1]_{n-1} / [n-1]!; for lam = 0 this is the
     truncated geometric series z/(1-z), the convolution identity.
     """
-    coeffs = tuple(
-        ruscheweyh_coeff(n, params.lam, params.q) for n in range(2, params.trunc + 1)
-    )
-    return PowerSeries(coeffs, Sign.PLUS)
+    return PowerSeries(tuple(kernel_coeffs(params.lam, params.q, params.trunc)), Sign.PLUS)
 
 
 def ruscheweyh(f: PowerSeries, params: ClassParams) -> PowerSeries:
@@ -171,9 +167,7 @@ def ruscheweyh(f: PowerSeries, params: ClassParams) -> PowerSeries:
     hadamard(f, ruscheweyh_kernel(params)) and preserves the sign convention
     because the kernel coefficients are positive.
     """
-    weights = np.array(
-        [ruscheweyh_coeff(n, params.lam, params.q) for n in range(2, f.order + 1)]
-    )
+    weights = kernel_coeffs(params.lam, params.q, f.order)
     return PowerSeries(tuple(np.asarray(f.coeffs) * weights), f.sign)
 
 

@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,31 @@ from qstarlike import (
     basic_number,
     criterion_weight,
     criterion_weights,
-    q_factorial,
-    q_pochhammer,
     ruscheweyh_coeff,
 )
+from qstarlike.qcore import kernel_coeffs
 
 NEAR_ONE = 1.0 - 1.0e-6
+
+
+# Scalar reference oracles: the direct products the vectorized kernel
+# replaces.
+
+
+def q_factorial(n: int, q: float) -> float:
+    """[n]! = [1][2]...[n]; empty product 1 for n = 0."""
+    out = 1.0
+    for j in range(1, n + 1):
+        out *= basic_number(j, q)
+    return out
+
+
+def q_pochhammer(t: float, n: int, q: float) -> float:
+    """Rising product [t][t+1]...[t+n-1] of q-brackets; [t]_0 = 1."""
+    out = 1.0
+    for j in range(n):
+        out *= basic_number(t + j, q)
+    return out
 
 
 def test_basic_number_small_cases():
@@ -142,12 +163,101 @@ def test_criterion_weight_not_monotone_near_lambda_floor():
     assert criterion_weight(3, p) < criterion_weight(2, p)
 
 
+def test_scalar_coefficients_reject_order_below_two():
+    with pytest.raises(ValueError):
+        ruscheweyh_coeff(1, 0.0, 0.5)
+    with pytest.raises(ValueError):
+        criterion_weight(1, ClassParams(q=0.5))
+
+
 def test_criterion_weights_matches_scalar():
     p = ClassParams(q=0.6, lam=1.5, alpha=0.25, k=2.0, trunc=10)
     w = criterion_weights(p)
     assert len(w) == 9
     for i, n in enumerate(range(2, 11)):
         assert w[i] == criterion_weight(n, p)
+
+
+def test_basic_number_accepts_arrays():
+    t = np.array([0.0, 1.0, 2.5, 7.0])
+    for q in (1.0e-6, 0.5, NEAR_ONE):
+        out = basic_number(t, q)
+        assert out.shape == t.shape
+        assert list(out) == [basic_number(float(x), q) for x in t]
+
+
+def test_basic_number_near_one_matches_mpmath():
+    # (1 - q**t) / (1 - q) loses ~1e-11 to cancellation here
+    ctx = mpmath.MPContext()
+    ctx.dps = 30
+    q = ctx.mpf(NEAR_ONE)
+    for t in (2.0, 3.5, 17.0, 1000.0):
+        exact = (1 - ctx.power(q, t)) / (1 - q)
+        assert float(abs((basic_number(t, NEAR_ONE) - exact) / exact)) < 1.0e-15
+
+
+def test_kernel_matches_pochhammer_ratio():
+    for q in (0.3, 0.6, 0.9):
+        for lam in (-0.5, 0.0, 1.5, 4.0):
+            kernel = kernel_coeffs(lam, q, 16)
+            assert kernel.shape == (15,)
+            for n in range(2, 17):
+                ratio = q_pochhammer(lam + 1.0, n - 1, q) / q_factorial(n - 1, q)
+                assert kernel[n - 2] == pytest.approx(ratio, rel=1e-13)
+                assert ruscheweyh_coeff(n, lam, q) == kernel[n - 2]
+
+
+# Worst relative error of criterion_weights against the oracle below over
+# the grid of test_weights_match_mpmath_oracle was 1.36e-13 (at q = 1 - 1e-6,
+# lam = -0.99, n near 4096, where rounding in ~4000 running-product factors
+# accumulates).  Brackets by pow instead of expm1 measure 1.5e-9 there.
+ORACLE_RTOL = 5.0e-13
+ORACLE_TRUNC = 4096
+
+
+def _oracle_weights(ctx, q: float, lams, alpha: float, k: float, top: int):
+    """Criterion weights for n = 2..top at each lam, exact in ctx precision
+    and rounded once to float64 for comparison."""
+    mq = ctx.mpf(q)
+    powers = [ctx.mpf(1)]
+    for _ in range(top):
+        powers.append(powers[-1] * mq)
+    gaps = [1 - x for x in powers]  # (1 - q) [m]
+    factors = [g * (1 + ctx.mpf(k)) / gaps[1] - ctx.mpf(k) - ctx.mpf(alpha) for g in gaps]
+    out = {}
+    for lam in lams:
+        up = ctx.power(mq, ctx.mpf(lam) + 1)  # q**(lam + 1 + j)
+        num = den = ctx.mpf(1)
+        w = np.empty(top - 1)
+        for n in range(2, top + 1):
+            num *= 1 - up
+            den *= gaps[n - 1]
+            up *= mq
+            w[n - 2] = factors[n] * num / den
+        out[lam] = w
+    return out
+
+
+@pytest.mark.parametrize("q", [1.0e-6, 0.5, 0.99, NEAR_ONE])
+def test_weights_match_mpmath_oracle(q):
+    lams = (-0.99, 0.0, 3.0, 50.0)
+    ctx = mpmath.MPContext()
+    ctx.dps = 30
+    exact = _oracle_weights(ctx, q, lams, 0.3, 2.0, ORACLE_TRUNC)
+    for lam in lams:
+        got = criterion_weights(ClassParams(q=q, lam=lam, alpha=0.3, k=2.0, trunc=ORACLE_TRUNC))
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        rel = np.max(np.abs(got - exact[lam]) / exact[lam])
+        assert rel < ORACLE_RTOL, (lam, rel)
+
+
+@pytest.mark.parametrize("q, lam, trunc", [(0.99, 3.0, 2000), (0.999, 5.0, 4000)])
+def test_weights_finite_where_kernel_products_overflow(q, lam, trunc):
+    # [lam+1]_{n-1} and [n-1]! each pass 1.8e308 well before n = trunc
+    w = criterion_weights(ClassParams(q=q, lam=lam, trunc=trunc))
+    assert w.shape == (trunc - 1,)
+    assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+    assert np.all(np.diff(w) > 0.0)
 
 
 @pytest.mark.parametrize(
