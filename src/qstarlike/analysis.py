@@ -6,9 +6,10 @@ which certified members must never exceed.  Subordination: the sharp factor
 constant, the real-part lower bound it implies, Wilf positivity of the factor
 sequence, and the -1/2 sharpness probe.
 
-Quadrature uses uniform angular nodes, which is spectrally accurate for these
-smooth 2*pi-periodic integrands.  Sums are plain numpy pairwise sums with a
-fixed order, so results are reproducible run to run.
+Circle values come from one inverse FFT per ring (series.ring_values), and
+quadrature on those uniform nodes is spectrally accurate for these smooth
+2*pi-periodic integrands.  Sums are plain numpy pairwise sums with a fixed
+order, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .classes import Verdict, coefficient_test, extremal_function
 from .qcore import ClassParams, criterion_weight
-from .series import PowerSeries, SampleGrid, Sign, evaluate, poly_eval
+from .series import PowerSeries, SampleGrid, Sign, ring_values
 
 # Multiplicative slack for lhs <= rhs comparisons between circle integrals.
 INTEGRAL_MEANS_SLACK = 1.0e-9
@@ -53,6 +54,11 @@ def default_nodes(trunc: int) -> int:
     return 1 << (max(256, 4 * trunc) - 1).bit_length()
 
 
+def _circle_integral(modulus: np.ndarray, eta: float) -> float:
+    """Trapezoidal integral of modulus**eta over a full turn of uniform nodes."""
+    return float(np.sum(modulus**eta) * (2.0 * np.pi / modulus.size))
+
+
 def integral_means(f: PowerSeries, cfg: QuadratureConfig) -> float:
     """Trapezoidal value of the integral of |f(r e^{i theta})|^eta over a
     full turn.
@@ -60,9 +66,7 @@ def integral_means(f: PowerSeries, cfg: QuadratureConfig) -> float:
     On a uniform periodic grid the trapezoid rule collapses to the plain
     average times 2*pi and converges spectrally in the node count.
     """
-    theta = np.arange(cfg.nodes) * (2.0 * np.pi / cfg.nodes)
-    vals = np.abs(evaluate(f, cfg.r * np.exp(1j * theta))) ** cfg.eta
-    return float(np.sum(vals) * (2.0 * np.pi / cfg.nodes))
+    return _circle_integral(np.abs(ring_values(f.full(), cfg.r, cfg.nodes)), cfg.eta)
 
 
 @dataclass(frozen=True)
@@ -114,17 +118,21 @@ def sweep_integral_means(
     eta_values: Sequence[float],
     nodes: int | None = None,
 ) -> list[SweepRow]:
-    """Integral-means comparison over an (r, eta) grid; margin = rhs - lhs."""
+    """Integral-means comparison over an (r, eta) grid; margin = rhs - lhs.
+    |f| and |f_2| are evaluated once per radius and shared by every eta."""
     if nodes is None:
         nodes = default_nodes(max(f.order, params.trunc))
-    f2 = extremal_function(2, params)
+    coeffs, coeffs2 = f.full(), extremal_function(2, params).full()
     rows = []
     for r in r_values:
+        r = QuadratureConfig(nodes=nodes, r=float(r)).r
+        mod = np.abs(ring_values(coeffs, r, nodes))
+        mod2 = np.abs(ring_values(coeffs2, r, nodes))
         for eta in eta_values:
-            cfg = QuadratureConfig(nodes=nodes, r=float(r), eta=float(eta))
-            lhs = integral_means(f, cfg)
-            rhs = integral_means(f2, cfg)
-            rows.append(SweepRow(float(r), float(eta), lhs, rhs, rhs - lhs))
+            cfg = QuadratureConfig(nodes=nodes, r=r, eta=float(eta))
+            lhs = _circle_integral(mod, cfg.eta)
+            rhs = _circle_integral(mod2, cfg.eta)
+            rows.append(SweepRow(cfg.r, cfg.eta, lhs, rhs, rhs - lhs))
     return rows
 
 
@@ -160,7 +168,7 @@ def wilf_positivity(b: Sequence[float], grid: SampleGrid = SampleGrid()) -> floa
     the grid minimum is the numerical evidence on the truncation.
     """
     coeffs = np.concatenate(([0.0], np.asarray(b, dtype=float)))
-    return float(np.min(1.0 + 2.0 * poly_eval(coeffs, grid.points()).real))
+    return float(np.min(1.0 + 2.0 * grid.values(coeffs).real))
 
 
 def wilf_sequence(f: PowerSeries, params: ClassParams) -> np.ndarray:
@@ -195,14 +203,12 @@ def sharpness_minimum(params: ClassParams, r: float, n_angles: int = 4096) -> fl
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
     c = subordination_constant(params)
-    theta = np.arange(n_angles) * (2.0 * np.pi / n_angles)
-    vals = evaluate(extremal_function(2, params), r * np.exp(1j * theta))
-    return float(np.min(c * vals.real))
+    return c * float(np.min(ring_values(extremal_function(2, params).full(), r, n_angles).real))
 
 
 def min_real_part(f: PowerSeries, grid: SampleGrid = SampleGrid()) -> float:
     """Minimum of Re f over the sampling grid."""
-    return float(np.min(evaluate(f, grid.points()).real))
+    return float(np.min(grid.values(f.full()).real))
 
 
 @dataclass(frozen=True)
@@ -310,15 +316,15 @@ def check_subordination(
             f"comparison {comparison.name!r} has no registered inverse"
         )
     if isinstance(candidate, PowerSeries):
-        series = candidate
-        fn = lambda z: evaluate(series, z)  # noqa: E731
+        coeffs = candidate.full()
+        ring_of = lambda r: ring_values(coeffs, r, grid.n_angles)  # noqa: E731
     else:
-        fn = candidate
-    origin_ok = bool(abs(fn(np.zeros(1, dtype=complex))[0]) <= tol)
-    per_radius = []
-    theta = np.arange(grid.n_angles) * (2.0 * np.pi / grid.n_angles)
-    ring = np.exp(1j * theta)
-    for r in grid.radii:
-        pulled = comparison.invert(fn(r * ring))
-        per_radius.append((float(r), float(np.max(np.abs(pulled)))))
-    return SubordinationEvidence(origin_ok, tuple(per_radius), tol)
+        theta = np.arange(grid.n_angles) * (2.0 * np.pi / grid.n_angles)
+        ring = np.exp(1j * theta)
+        ring_of = lambda r: candidate(r * ring)  # noqa: E731
+    origin_ok = bool(abs(ring_of(0.0)[0]) <= tol)
+    per_radius = tuple(
+        (float(r), float(np.max(np.abs(comparison.invert(ring_of(r))))))
+        for r in grid.radii
+    )
+    return SubordinationEvidence(origin_ok, per_radius, tol)

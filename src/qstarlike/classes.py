@@ -104,15 +104,16 @@ def extremal_function(n: int, params: ClassParams) -> PowerSeries:
     return PowerSeries(tuple(coeffs), Sign.MINUS)
 
 
-def _criterion_margins(f: PowerSeries, params: ClassParams, z: np.ndarray) -> np.ndarray:
-    """Margins of the analytic criterion at an array of disc points."""
+def _criterion_margins(f: PowerSeries, params: ClassParams, values):
+    """Margins of the analytic criterion at the disc points where
+    values(coeffs) evaluates an ascending coefficient sequence."""
     g = ruscheweyh(f, params)
-    den = poly_eval(g.full(), z)
+    den = values(g.full())
     if np.min(np.abs(den)) < DEGENERATE_TOL:
         raise DegenerateDenominatorError(
             "Ruscheweyh transform vanishes at a sample point"
         )
-    w = z * poly_eval(q_derivative(g, params.q), z) / den
+    w = values(np.concatenate(([0.0], q_derivative(g, params.q)))) / den
     return w.real - params.alpha - params.k * np.abs(w - 1.0)
 
 
@@ -125,7 +126,8 @@ def analytic_criterion_margin(
     inequality of the class holds at that point; raises
     DegenerateDenominatorError when |R f(z)| < 1e-14 (in particular at z=0).
     """
-    return float(_criterion_margins(f, params, np.array([point.z()]))[0])
+    z = point.z()
+    return float(_criterion_margins(f, params, lambda coeffs: poly_eval(coeffs, z)))
 
 
 def criterion_min_margin(
@@ -136,7 +138,7 @@ def criterion_min_margin(
     The reduction over points is a plain minimum, so the result does not
     depend on evaluation order.
     """
-    return float(np.min(_criterion_margins(f, params, grid.points())))
+    return float(np.min(_criterion_margins(f, params, grid.values)))
 
 
 def random_member(params: ClassParams, seed: int, density: float = 0.8) -> PowerSeries:

@@ -32,6 +32,7 @@ from .analysis import (
     QuadratureConfig,
     SampleGrid,
     WILF_RADII,
+    default_nodes,
     min_real_part,
     subordination_report,
     sweep_integral_means,
@@ -45,6 +46,7 @@ from .series import PowerSeries, poly_eval, q_derivative
 LIMIT_Q = 1.0 - 1.0e-6
 KERNEL_LIMIT_TOL = 1.0e-3
 DERIVATIVE_LIMIT_TOL = 1.0e-4
+NODES_HELP = "quadrature nodes, a power of two >= 16 (default: max(256, 4*trunc) rounded up)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_series(p)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--nodes", type=int, default=None, help=NODES_HELP)
     p.add_argument(
         "--allow-uncertified",
         action="store_true",
@@ -109,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_series(p)
     p.add_argument("--r-list", default="0.25,0.5,0.75,0.95")
     p.add_argument("--eta-list", default="0.5,1,2,3")
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--nodes", type=int, default=None, help=NODES_HELP)
     p.add_argument("--allow-uncertified", action="store_true")
 
     return parser
@@ -171,7 +173,8 @@ def cmd_integral_means(args) -> int:
     _reject_csv(args.format)
     params = _params(args)
     f = _load_series(args, params)
-    cfg = QuadratureConfig(nodes=args.nodes, r=args.r, eta=args.eta)
+    nodes = default_nodes(max(f.order, params.trunc)) if args.nodes is None else args.nodes
+    cfg = QuadratureConfig(nodes=nodes, r=args.r, eta=args.eta)
     cmp = verify_integral_means(f, params, cfg)
     if not cmp.certified and not args.allow_uncertified:
         print(

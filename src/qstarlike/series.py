@@ -33,6 +33,8 @@ class PowerSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ValueError("series coefficients must be finite")
         if self.sign is Sign.MINUS and any(c < 0.0 for c in self.coeffs):
             raise ValueError("MINUS-convention series needs nonnegative coefficients")
 
@@ -94,11 +96,10 @@ class SampleGrid:
         if self.n_angles < 1:
             raise ValueError("n_angles must be positive")
 
-    def points(self) -> np.ndarray:
-        """All grid points as a flat complex array, radius-major order."""
-        theta = np.arange(self.n_angles) * (2.0 * np.pi / self.n_angles)
-        ring = np.exp(1j * theta)
-        return (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
+    def values(self, coeffs) -> np.ndarray:
+        """Values of an ascending coefficient sequence at every grid point,
+        as a flat complex array in radius-major order."""
+        return np.concatenate([ring_values(coeffs, r, self.n_angles) for r in self.radii])
 
 
 def poly_eval(coeffs, z):
@@ -109,6 +110,22 @@ def poly_eval(coeffs, z):
     arr = np.asarray(z, dtype=complex)
     vals = npoly.polyval(arr, np.asarray(coeffs))
     return complex(vals) if arr.ndim == 0 else vals
+
+
+def ring_values(coeffs, r: float, nodes: int) -> np.ndarray:
+    """Values of an ascending coefficient sequence at the ring points
+    z_j = r e^{2 pi i j / nodes}, j = 0..nodes-1, for 0 <= r < 1.
+
+    The scaled coefficients c_n r^n are folded into bin n mod nodes, which is
+    exact at the nodes-th roots of unity, so any order is accepted; one
+    unnormalized inverse FFT of the folded bins gives all the values.
+    """
+    if not (0.0 <= r < 1.0 and nodes >= 1):
+        raise ValueError(f"a ring needs 0 <= r < 1 and nodes >= 1, got r={r}, nodes={nodes}")
+    c = np.asarray(coeffs, dtype=float)
+    n = np.arange(c.size)
+    folded = np.bincount(n % nodes, weights=c * r**n, minlength=nodes)
+    return np.fft.ifft(folded, norm="forward")
 
 
 def evaluate(f: PowerSeries, z):

@@ -59,6 +59,12 @@ def cases() -> dict[str, list[str]]:
                                    "--format", "json"],
         "sweep_trunc1024": ["sweep", "--trunc", "1024", "--nodes", "4096", "--seed", "3",
                             "--format", "json"],
+        # node count left to the default, max(256, 4 * trunc) rounded up
+        "integral_means_trunc512_default_nodes": ["integral-means", "--q", "0.5", "--trunc",
+                                                  "512", "--seed", "7", "--r", "0.95",
+                                                  "--eta", "2", "--format", "json"],
+        "sweep_trunc512_default_nodes": ["sweep", "--trunc", "512", "--seed", "9",
+                                         "--format", "json"],
         # q away from 0.5
         "extremal_q09": ["extremal", "--n", "5", "--q", "0.9", "--lambda", "2.5", "--alpha",
                          "0.25", "--k", "1.5", "--trunc", "8", "--format", "json"],
@@ -73,6 +79,10 @@ def cases() -> dict[str, list[str]]:
         "error_series_sign": ["membership", "--series", '{"sign":"down","coeffs":[0.5]}'],
         "error_series_negative_minus": ["membership", "--series",
                                         '{"sign":"minus","coeffs":[-0.5]}'],
+        "error_series_nan": ["membership", "--series", '{"sign":"minus","coeffs":[NaN]}',
+                             "--format", "json"],
+        "error_series_infinity": ["integral-means", "--series",
+                                  '{"sign":"plus","coeffs":[0.1,Infinity]}', "--format", "json"],
         "error_q_range": ["membership", "--q", "1.5", "--series", MEMBER_05],
         "error_lambda_floor": ["extremal", "--n", "2", "--lambda", "-1"],
         "error_alpha_range": ["extremal", "--n", "2", "--alpha", "1"],

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qstarlike.cli import main
@@ -131,6 +132,25 @@ def test_integral_means_uncertified_needs_override(capsys):
     assert code == 1  # forced run exposes the violation
     doc = json.loads(out)
     assert not doc["certified"] and not doc["holds"]
+
+
+def test_integral_means_default_nodes_follow_trunc(capsys):
+    # 256 nodes alias a trunc-512 member: the eta = 2 integral at r = 0.95 is
+    # then 2.1e-9 off Parseval, beyond the 1e-9 comparison slack
+    from qstarlike import ClassParams, random_member
+
+    argv = ["integral-means", "--q", "0.5", "--trunc", "512", "--seed", "7",
+            "--r", "0.95", "--eta", "2", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["nodes"] == 2048
+    coeffs = random_member(ClassParams(q=0.5, trunc=512), seed=7).full()
+    exact = 2.0 * np.pi * np.sum((coeffs * 0.95 ** np.arange(coeffs.size)) ** 2)
+    assert doc["lhs"] == pytest.approx(exact, rel=1e-13)
+
+    code, out, _ = run_cli(capsys, "integral-means", "--trunc", "64", "--format", "json")
+    assert json.loads(out)["nodes"] == 256
 
 
 def test_subordination_report(capsys):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from qstarlike import (
     ruscheweyh_kernel,
     ruscheweyh_q_derivative,
 )
+from qstarlike.series import ring_values
 
 NEAR_ONE = 1.0 - 1.0e-6
+EPS = np.finfo(float).eps
 
 
 def test_identity_series():
@@ -60,6 +63,13 @@ def test_evaluate_vectorized_matches_scalar():
     assert vals.shape == (3,)
     for zi, vi in zip(z, vals):
         assert vi == evaluate(f, complex(zi))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_series_rejects_non_finite_coefficients(bad):
+    for sign in (Sign.PLUS, Sign.MINUS):
+        with pytest.raises(ValueError, match="finite"):
+            PowerSeries((0.25, bad), sign)
 
 
 def test_minus_convention_requires_nonnegative():
@@ -233,10 +243,90 @@ def test_disc_point():
 
 def test_sample_grid():
     grid = SampleGrid((0.25, 0.5), 8)
-    pts = grid.points()
-    assert pts.shape == (16,)
-    assert pts[0] == pytest.approx(0.25)
-    np.testing.assert_allclose(np.abs(pts[:8]), 0.25, rtol=1e-15)
-    np.testing.assert_allclose(np.abs(pts[8:]), 0.5, rtol=1e-15)
+    assert grid.radii == (0.25, 0.5) and grid.n_angles == 8
     with pytest.raises(ValueError):
         SampleGrid((1.0,), 8)
+    with pytest.raises(ValueError):
+        SampleGrid((0.0,), 8)
+    with pytest.raises(ValueError):
+        SampleGrid((0.5,), 0)
+
+
+def ring(r: float, nodes: int) -> np.ndarray:
+    return r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+
+
+def horner_tol(coeffs, r: float, nodes: int) -> float:
+    # Horner's rounding, and that of the rounded ring points, grows with the
+    # order and the FFT's with log(nodes): 8 eps * (order + log2 nodes)
+    # times sum |c_n| r^n, plus the subnormal spacing for tiny values
+    size = len(coeffs)
+    scale = float(np.sum(np.abs(coeffs) * r ** np.arange(size)))
+    return 8.0 * EPS * (size + nodes.bit_length()) * scale + np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.9999])
+@pytest.mark.parametrize("size, nodes", [(12, 64), (64, 64), (65, 64), (300, 64), (40, 7)])
+def test_ring_values_match_horner(r, size, nodes):
+    # size <= nodes is a plain transform; size > nodes folds high orders
+    # onto the roots of unity
+    rng = np.random.default_rng(size * nodes)
+    coeffs = rng.uniform(-1.0, 1.0, size)
+    got = ring_values(coeffs, r, nodes)
+    want = poly_eval(coeffs, ring(r, nodes))
+    assert got.shape == (nodes,)
+    assert np.max(np.abs(got - want)) <= horner_tol(coeffs, r, nodes)
+
+
+@pytest.mark.parametrize("size, nodes, r", [(300, 64, 0.9999), (64, 4096, 0.95), (1025, 4096, 0.95)])
+def test_ring_values_match_mpmath(size, nodes, r):
+    # measured worst error 7.6e-17 * sum |c_n| r^n over these cases
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    rng = np.random.default_rng(size + nodes)
+    coeffs = rng.uniform(-1.0, 1.0, size)
+    got = ring_values(coeffs, r, nodes)
+    scale = float(np.sum(np.abs(coeffs) * r ** np.arange(size)))
+    exact_coeffs = [ctx.mpf(c) for c in coeffs[::-1]]
+    for j in range(0, nodes, max(1, nodes // 32)):
+        z = ctx.mpf(r) * ctx.expjpi(ctx.mpf(2 * j) / nodes)
+        assert float(abs(got[j] - ctx.polyval(exact_coeffs, z))) <= 1e-15 * scale
+
+
+def test_ring_values_at_zero_radius_is_the_constant_term():
+    np.testing.assert_array_equal(ring_values([0.5, 2.0, -3.0], 0.0, 4), np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, -0.1, -1e-300, float("nan")])
+def test_ring_values_rejects_radius_outside_disc(r):
+    with pytest.raises(ValueError, match="ring"):
+        ring_values([0.0, 1.0], r, 16)
+
+
+def test_ring_values_rejects_empty_ring():
+    with pytest.raises(ValueError, match="nodes"):
+        ring_values([0.0, 1.0], 0.5, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=70),
+    st.floats(min_value=0.0, max_value=0.999),
+    st.integers(min_value=1, max_value=80),
+)
+def test_ring_values_property_against_horner(coeffs, r, nodes):
+    got = ring_values(coeffs, r, nodes)
+    want = poly_eval(coeffs, ring(r, nodes))
+    assert np.max(np.abs(got - want)) <= horner_tol(coeffs, r, nodes)
+
+
+def test_ring_values_parseval_is_exact_without_folding():
+    # with more nodes than coefficients the discrete Parseval identity is the
+    # continuous one, so the eta = 2 circle mean is exact up to rounding
+    rng = np.random.default_rng(31)
+    coeffs = rng.uniform(-1.0, 1.0, 200)
+    for r, nodes in ((0.5, 256), (0.99, 256), (0.9999, 512)):
+        exact = 2.0 * np.pi * np.sum((coeffs * r ** np.arange(coeffs.size)) ** 2)
+        vals = ring_values(coeffs, r, nodes)
+        approx = 2.0 * np.pi * np.sum(np.abs(vals) ** 2) / nodes
+        assert approx == pytest.approx(exact, rel=1e-13)
