@@ -6,10 +6,12 @@ which certified members must never exceed.  Subordination: the sharp factor
 constant, the real-part lower bound it implies, Wilf positivity of the factor
 sequence, and the -1/2 sharpness probe.
 
-Circle values come from one inverse FFT per ring (series.ring_values), and
-quadrature on those uniform nodes is spectrally accurate for these smooth
-2*pi-periodic integrands.  Sums are plain numpy pairwise sums with a fixed
-order, so results are reproducible run to run.
+Circle values come from series.ring_values, one real FFT per radius over the
+closed upper half ring; real coefficients make the lower half its conjugate
+mirror, so the half carries every extremum and, with node weights
+1, 2, ..., 2, 1, the trapezoid rule, which is spectrally accurate for these
+smooth 2*pi-periodic integrands.  Sums are plain numpy pairwise sums with a
+fixed order, so results are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -54,19 +56,18 @@ def default_nodes(trunc: int) -> int:
     return 1 << (max(256, 4 * trunc) - 1).bit_length()
 
 
-def _circle_integral(modulus: np.ndarray, eta: float) -> float:
-    """Trapezoidal integral of modulus**eta over a full turn of uniform nodes."""
-    return float(np.sum(modulus**eta) * (2.0 * np.pi / modulus.size))
+def _circle_integral(modulus: np.ndarray, eta: float):
+    """Trapezoid integral of modulus**eta over a full turn from the closed upper
+    half ring (last axis): node weights 1, 2, ..., 2, 1 times 2 pi / nodes."""
+    powered = modulus**eta
+    weighted = np.sum(powered, axis=-1) + np.sum(powered[..., 1:-1], axis=-1)
+    return weighted * (np.pi / (powered.shape[-1] - 1))
 
 
 def integral_means(f: PowerSeries, cfg: QuadratureConfig) -> float:
-    """Trapezoidal value of the integral of |f(r e^{i theta})|^eta over a
-    full turn.
-
-    On a uniform periodic grid the trapezoid rule collapses to the plain
-    average times 2*pi and converges spectrally in the node count.
-    """
-    return _circle_integral(np.abs(ring_values(f.full(), cfg.r, cfg.nodes)), cfg.eta)
+    """Trapezoidal value of the integral of |f(r e^{i theta})|^eta over a full
+    turn of cfg.nodes uniform nodes; it converges spectrally in the node count."""
+    return float(_circle_integral(np.abs(ring_values(f.full(), cfg.r, cfg.nodes)), cfg.eta))
 
 
 @dataclass(frozen=True)
@@ -119,21 +120,20 @@ def sweep_integral_means(
     nodes: int | None = None,
 ) -> list[SweepRow]:
     """Integral-means comparison over an (r, eta) grid; margin = rhs - lhs.
-    |f| and |f_2| are evaluated once per radius and shared by every eta."""
+    |f| and |f_2| are evaluated once for all radii and shared by every eta."""
     if nodes is None:
         nodes = default_nodes(max(f.order, params.trunc))
-    coeffs, coeffs2 = f.full(), extremal_function(2, params).full()
-    rows = []
-    for r in r_values:
-        r = QuadratureConfig(nodes=nodes, r=float(r)).r
-        mod = np.abs(ring_values(coeffs, r, nodes))
-        mod2 = np.abs(ring_values(coeffs2, r, nodes))
-        for eta in eta_values:
-            cfg = QuadratureConfig(nodes=nodes, r=r, eta=float(eta))
-            lhs = _circle_integral(mod, cfg.eta)
-            rhs = _circle_integral(mod2, cfg.eta)
-            rows.append(SweepRow(cfg.r, cfg.eta, lhs, rhs, rhs - lhs))
-    return rows
+    radii = [QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values]
+    etas = [QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values]
+    mod = np.abs(ring_values(f.full(), radii, nodes))
+    mod2 = np.abs(ring_values(extremal_function(2, params).full(), radii, nodes))
+    lhs = [_circle_integral(mod, eta).tolist() for eta in etas]
+    rhs = [_circle_integral(mod2, eta).tolist() for eta in etas]
+    return [
+        SweepRow(r, eta, lhs[j][i], rhs[j][i], rhs[j][i] - lhs[j][i])
+        for i, r in enumerate(radii)
+        for j, eta in enumerate(etas)
+    ]
 
 
 CSV_HEADER = "r,eta,lhs,rhs,margin"
@@ -255,7 +255,9 @@ def subordination_report(
 @dataclass(frozen=True)
 class ConvexComparison:
     """A comparison function in closed form, with an explicit inverse on its
-    image when available.  Registered comparisons are normalized, g(0) = 0."""
+    image when available.  Registered comparisons are normalized, g(0) = 0.
+    invert must commute with conjugation (real Taylor coefficients), since
+    check_subordination reads a PowerSeries only on the upper half ring."""
 
     name: str
     apply: Callable[[np.ndarray], np.ndarray]

@@ -72,14 +72,14 @@ def coefficient_test(f: PowerSeries, params: ClassParams) -> MembershipReport:
     undecided (the condition is only sufficient in general).
     """
     weights = criterion_weights(params, order=f.order)
-    contributions = weights * np.abs(f.tail())
-    total = float(np.sum(contributions))
+    with np.errstate(over="ignore"):
+        contributions = weights * np.abs(f.tail())
+        total = float(np.sum(contributions))
+    if not math.isfinite(total):
+        raise ValueError("the weighted coefficient sum overflows; coefficients are too large")
     budget = 1.0 - params.alpha
     margin = budget - total
-    per_term = tuple(
-        (n, float(w), float(c))
-        for n, w, c in zip(range(2, f.order + 1), weights, contributions)
-    )
+    per_term = tuple(zip(range(2, f.order + 1), weights.tolist(), contributions.tolist()))
     verdict = Verdict.SUFFICIENT_PASS if margin >= 0.0 else Verdict.SUFFICIENT_FAIL
     return MembershipReport(total, budget, margin, per_term, verdict)
 

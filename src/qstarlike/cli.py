@@ -141,7 +141,7 @@ def _load_series(args, params: ClassParams, required: bool = False) -> PowerSeri
 
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         for key, value in doc.items():
             print(f"{key}: {value}")
@@ -282,7 +282,7 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         print(sweep_to_csv(rows), end="")
     elif args.format == "json":
-        print(json.dumps({"rows": [row._asdict() for row in rows]}, indent=2))
+        print(json.dumps({"rows": [row._asdict() for row in rows]}, indent=2, allow_nan=False))
     else:
         for row in rows:
             print(f"r={row.r} eta={row.eta} lhs={row.lhs} rhs={row.rhs} margin={row.margin}")

@@ -5,6 +5,9 @@ the tail magnitudes (a_2, ..., a_N) together with a sign convention: PLUS for
 z + sum a_n z^n with arbitrary real a_n, MINUS for z - sum a_n z^n with
 a_n >= 0 (the negative-coefficient family the membership machinery works in).
 
+Coefficients are real, so p(conj z) = conj p(z): ring_values evaluates only
+the closed upper half of each circle, and the lower half is its mirror image.
+
 Series are immutable values; all operations return fresh objects and are safe
 for concurrent use.
 """
@@ -32,11 +35,14 @@ class PowerSeries:
     sign: Sign = Sign.PLUS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not all(math.isfinite(c) for c in self.coeffs):
+        arr = np.asarray(self.coeffs, dtype=float)
+        if arr.ndim != 1:
+            raise TypeError("series coefficients must be a flat sequence of numbers")
+        if not np.isfinite(arr).all():
             raise ValueError("series coefficients must be finite")
-        if self.sign is Sign.MINUS and any(c < 0.0 for c in self.coeffs):
+        if self.sign is Sign.MINUS and (arr < 0.0).any():
             raise ValueError("MINUS-convention series needs nonnegative coefficients")
+        object.__setattr__(self, "coeffs", tuple(arr.tolist()))
 
     @property
     def order(self) -> int:
@@ -97,9 +103,9 @@ class SampleGrid:
             raise ValueError("n_angles must be positive")
 
     def values(self, coeffs) -> np.ndarray:
-        """Values of an ascending coefficient sequence at every grid point,
-        as a flat complex array in radius-major order."""
-        return np.concatenate([ring_values(coeffs, r, self.n_angles) for r in self.radii])
+        """Values of a real ascending coefficient sequence from one ring_values
+        call: one row per grid radius, the closed upper half of its ring."""
+        return ring_values(coeffs, self.radii, self.n_angles)
 
 
 def poly_eval(coeffs, z):
@@ -112,20 +118,22 @@ def poly_eval(coeffs, z):
     return complex(vals) if arr.ndim == 0 else vals
 
 
-def ring_values(coeffs, r: float, nodes: int) -> np.ndarray:
-    """Values of an ascending coefficient sequence at the ring points
-    z_j = r e^{2 pi i j / nodes}, j = 0..nodes-1, for 0 <= r < 1.
-
-    The scaled coefficients c_n r^n are folded into bin n mod nodes, which is
-    exact at the nodes-th roots of unity, so any order is accepted; one
-    unnormalized inverse FFT of the folded bins gives all the values.
-    """
-    if not (0.0 <= r < 1.0 and nodes >= 1):
+def ring_values(coeffs, r, nodes: int) -> np.ndarray:
+    """Values of a real ascending coefficient sequence on the closed upper half
+    ring z_j = r e^{2 pi i j / nodes}, j = 0..nodes//2, for 0 <= r < 1; the
+    lower half holds their conjugates.  The shape is (nodes//2 + 1,), or
+    (len(r), nodes//2 + 1) for a 1-D sequence of radii.  c_n r^n is added into
+    bin n mod nodes, exact at the nodes-th roots of unity, so any order is
+    accepted; one real FFT per radius of the bins gives the conjugate values."""
+    radii = np.asarray(r, dtype=float)
+    if not (nodes >= 1 and radii.ndim <= 1 and np.all((0.0 <= radii) & (radii < 1.0))):
         raise ValueError(f"a ring needs 0 <= r < 1 and nodes >= 1, got r={r}, nodes={nodes}")
     c = np.asarray(coeffs, dtype=float)
-    n = np.arange(c.size)
-    folded = np.bincount(n % nodes, weights=c * r**n, minlength=nodes)
-    return np.fft.ifft(folded, norm="forward")
+    scaled = c * radii[..., None] ** np.arange(c.size)
+    for start in range(nodes, c.size, nodes):
+        scaled[..., : min(nodes, c.size - start)] += scaled[..., start : start + nodes]
+    values = np.fft.rfft(scaled, n=nodes)
+    return np.conj(values, out=values)
 
 
 def evaluate(f: PowerSeries, z):

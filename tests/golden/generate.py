@@ -83,6 +83,8 @@ def cases() -> dict[str, list[str]]:
                              "--format", "json"],
         "error_series_infinity": ["integral-means", "--series",
                                   '{"sign":"plus","coeffs":[0.1,Infinity]}', "--format", "json"],
+        "error_series_overflow": ["membership", "--series",
+                                  '{"sign":"plus","coeffs":[1e308,1e308]}', "--format", "json"],
         "error_q_range": ["membership", "--q", "1.5", "--series", MEMBER_05],
         "error_lambda_floor": ["extremal", "--n", "2", "--lambda", "-1"],
         "error_alpha_range": ["extremal", "--n", "2", "--alpha", "1"],

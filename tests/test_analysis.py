@@ -92,6 +92,17 @@ def test_integral_means_matches_parseval():
             assert approx == pytest.approx(parseval_value(g, r), rel=1e-8)
 
 
+def test_integral_means_exact_parseval_at_sixteen_nodes():
+    # degree 15 < 16 nodes: the trapezoid rule is exact for |f|^2, so only
+    # the half-ring weights 1, 2, ..., 2, 1 separate the sum from Parseval
+    rng = np.random.default_rng(16)
+    for sign in (Sign.PLUS, Sign.MINUS):
+        g = PowerSeries(tuple(rng.uniform(0.0, 1.0, 14)), sign)
+        for r in (0.3, 0.9, 0.999):
+            approx = integral_means(g, QuadratureConfig(nodes=16, r=r, eta=2.0))
+            assert approx == pytest.approx(parseval_value(g, r), rel=1e-13)
+
+
 def test_integral_means_self_convergence():
     f = PowerSeries((0.5,), Sign.MINUS)
     coarse = integral_means(f, QuadratureConfig(nodes=2048, r=0.9, eta=1.0))
@@ -210,6 +221,20 @@ def test_realpart_bound_values():
     assert min_real_part(PowerSeries.identity(4)) > realpart_bound(ClassParams(q=0.5))
 
 
+@pytest.mark.parametrize("n_angles", [1, 7])
+def test_min_real_part_odd_grid_matches_full_horner_grid(n_angles):
+    # an odd ring has no node at theta = pi; the half ring must still carry
+    # the whole grid's minimum
+    radii = (0.3, 0.7, 0.95)
+    grid = SampleGrid(radii, n_angles)
+    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    points = np.outer(radii, np.exp(1j * theta))
+    for seed in range(5):
+        f = PowerSeries(tuple(np.random.default_rng(seed).uniform(-1.0, 1.0, 9)))
+        want = float(np.min(evaluate(f, points).real))
+        assert min_real_part(f, grid) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
 def test_realpart_bound_respected_by_members():
     grid = SampleGrid(WILF_RADII + (0.999,), 512)
     for i, p in enumerate(MEMBER_PARAMS[::7]):
@@ -293,6 +318,20 @@ def test_check_subordination_accepts_power_series():
     assert via_series.per_radius[1][1] > 0.5
 
 
+@pytest.mark.parametrize("n_angles", [1, 7, 32, 33])
+def test_check_subordination_series_branch_matches_full_ring(n_angles):
+    grid = SampleGrid((0.2, 0.5, 0.9), n_angles)
+    for seed in range(4):
+        f = PowerSeries(tuple(np.random.default_rng(seed).uniform(-0.5, 0.5, 10)))
+        via_series = check_subordination(f, grid=grid)
+        via_callable = check_subordination(lambda z: evaluate(f, z), grid=grid)
+        assert via_series.origin_ok == via_callable.origin_ok
+        assert via_series.passed == via_callable.passed
+        for (r, got), (r_full, want) in zip(via_series.per_radius, via_callable.per_radius):
+            assert r == r_full
+            assert got == pytest.approx(want, rel=1e-14)
+
+
 def test_check_subordination_requires_inverse():
     bare = ConvexComparison("mystery", apply=lambda z: z)
     with pytest.raises(UnsupportedComparisonError):
@@ -312,3 +351,29 @@ def test_sweep_rows_and_csv():
     assert len(lines) == 5
     first = lines[1].split(",")
     assert float(first[0]) == 0.25 and float(first[1]) == 1.0
+
+
+def test_sweep_rows_match_integral_means():
+    # one batched evaluation for all radii gives each row exactly the value
+    # of the single-circle integral at its (r, eta)
+    p = ClassParams(q=0.5, lam=1.0, trunc=64)
+    f = random_member(p, seed=3)
+    f2 = extremal_function(2, p)
+    r_values, eta_values = (0.25, 0.5, 0.95), (0.5, 1.0, 2.0, 3.0)
+    rows = sweep_integral_means(f, p, r_values, eta_values, nodes=256)
+    assert [(row.r, row.eta) for row in rows] == [(r, e) for r in r_values for e in eta_values]
+    for row in rows:
+        cfg = QuadratureConfig(nodes=256, r=row.r, eta=row.eta)
+        assert row.lhs == integral_means(f, cfg)
+        assert row.rhs == integral_means(f2, cfg)
+        assert row.margin == row.rhs - row.lhs
+
+
+@pytest.mark.parametrize(
+    "r_values, eta_values, nodes",
+    [((0.5, 1.0), (2.0,), 256), ((0.5,), (2.0, 0.0), 256), ((0.5,), (2.0,), 100)],
+)
+def test_sweep_validates_radii_etas_and_nodes(r_values, eta_values, nodes):
+    p = ClassParams(q=0.5, trunc=8)
+    with pytest.raises(ValueError):
+        sweep_integral_means(PowerSeries.identity(8), p, r_values, eta_values, nodes=nodes)

@@ -53,6 +53,14 @@ def test_coefficient_test_per_term():
         assert contribution == pytest.approx(weight * abs(f.tail()[n - 2]), rel=1e-15)
 
 
+@pytest.mark.parametrize("coeffs", [(1e308, 1e308), (1.7e308,)])
+def test_coefficient_test_rejects_overflowing_sum(coeffs):
+    # the weights exceed 1, so the weighted sum overflows although every
+    # coefficient is finite
+    with pytest.raises(ValueError, match="overflows"):
+        coefficient_test(PowerSeries(coeffs), ClassParams(q=0.5, trunc=4))
+
+
 def test_coefficient_test_rejects_oversized_series():
     # classical starlike budget: z - 2 z^2 doubles the allowance
     p = ClassParams(q=NEAR_ONE, trunc=2)

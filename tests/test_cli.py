@@ -64,6 +64,25 @@ def test_invalid_series_json_exits_two(capsys):
     assert "series" in err
 
 
+def test_overflowing_series_exits_two_without_json(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "membership", "--series", '{"sign":"plus","coeffs":[1e308,1e308]}',
+        "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+
+
+def test_json_output_refuses_non_finite_numbers(capsys):
+    from qstarlike.cli import _emit
+
+    with pytest.raises(ValueError):
+        _emit({"margin": float("nan")}, "json")
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_flag_exits_two(capsys):
     code = main(["membership", "--bogus", "1"])
     capsys.readouterr()

@@ -72,6 +72,17 @@ def test_series_rejects_non_finite_coefficients(bad):
             PowerSeries((0.25, bad), sign)
 
 
+def test_series_stores_python_floats():
+    f = PowerSeries(np.array([0.25, 1, -3]))
+    assert f.coeffs == (0.25, 1.0, -3.0)
+    assert all(type(c) is float for c in f.coeffs)
+
+
+def test_series_rejects_nested_coefficients():
+    with pytest.raises(TypeError, match="flat"):
+        PowerSeries(((0.5,), (0.25,)))
+
+
 def test_minus_convention_requires_nonnegative():
     with pytest.raises(ValueError):
         PowerSeries((0.5, -0.1), Sign.MINUS)
@@ -256,6 +267,16 @@ def ring(r: float, nodes: int) -> np.ndarray:
     return r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
 
+def upper_half(values: np.ndarray) -> np.ndarray:
+    # ring_values returns the closed upper half ring, j = 0..nodes//2
+    return values[..., : values.shape[-1] // 2 + 1]
+
+
+def full_ring(half: np.ndarray, nodes: int) -> np.ndarray:
+    # the lower half ring j = nodes - i holds the conjugate of entry i
+    return np.concatenate((half, np.conj(half[1 : nodes - half.size + 1][::-1])))
+
+
 def horner_tol(coeffs, r: float, nodes: int) -> float:
     # Horner's rounding, and that of the rounded ring points, grows with the
     # order and the FFT's with log(nodes): 8 eps * (order + log2 nodes)
@@ -273,8 +294,8 @@ def test_ring_values_match_horner(r, size, nodes):
     rng = np.random.default_rng(size * nodes)
     coeffs = rng.uniform(-1.0, 1.0, size)
     got = ring_values(coeffs, r, nodes)
-    want = poly_eval(coeffs, ring(r, nodes))
-    assert got.shape == (nodes,)
+    want = upper_half(poly_eval(coeffs, ring(r, nodes)))
+    assert got.shape == (nodes // 2 + 1,)
     assert np.max(np.abs(got - want)) <= horner_tol(coeffs, r, nodes)
 
 
@@ -288,17 +309,45 @@ def test_ring_values_match_mpmath(size, nodes, r):
     got = ring_values(coeffs, r, nodes)
     scale = float(np.sum(np.abs(coeffs) * r ** np.arange(size)))
     exact_coeffs = [ctx.mpf(c) for c in coeffs[::-1]]
-    for j in range(0, nodes, max(1, nodes // 32)):
+    assert got.shape == (nodes // 2 + 1,)
+    for j in range(0, nodes // 2 + 1, max(1, nodes // 64)):
         z = ctx.mpf(r) * ctx.expjpi(ctx.mpf(2 * j) / nodes)
         assert float(abs(got[j] - ctx.polyval(exact_coeffs, z))) <= 1e-15 * scale
 
 
 def test_ring_values_at_zero_radius_is_the_constant_term():
-    np.testing.assert_array_equal(ring_values([0.5, 2.0, -3.0], 0.0, 4), np.full(4, 0.5))
+    np.testing.assert_array_equal(ring_values([0.5, 2.0, -3.0], 0.0, 4), np.full(3, 0.5))
 
 
-@pytest.mark.parametrize("r", [1.0, 1.5, -0.1, -1e-300, float("nan")])
+@pytest.mark.parametrize("size, nodes", [(12, 64), (300, 64), (40, 7), (5, 1), (1025, 4096)])
+def test_ring_values_batched_rows_equal_scalar_calls(size, nodes):
+    rng = np.random.default_rng(size + 7 * nodes)
+    coeffs = rng.uniform(-1.0, 1.0, size)
+    radii = [0.0, 0.3, 0.9, 0.9999]
+    batch = ring_values(coeffs, radii, nodes)
+    assert batch.shape == (len(radii), nodes // 2 + 1)
+    for row, r in zip(batch, radii):
+        np.testing.assert_array_equal(row, ring_values(coeffs, r, nodes))
+    assert ring_values(coeffs, [], nodes).shape == (0, nodes // 2 + 1)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 7, 8, 64])
+def test_ring_values_mirror_gives_the_full_ring(nodes):
+    # odd and even node counts: the half ring plus its conjugate mirror is
+    # every node of the ring
+    coeffs = np.random.default_rng(nodes).uniform(-1.0, 1.0, 20)
+    full = full_ring(ring_values(coeffs, 0.8, nodes), nodes)
+    want = poly_eval(coeffs, ring(0.8, nodes))
+    assert full.shape == (nodes,)
+    assert np.max(np.abs(full - want)) <= horner_tol(coeffs, 0.8, nodes)
+
+
+@pytest.mark.parametrize(
+    "r",
+    [1.0, 1.5, -0.1, -1e-300, float("nan"), [0.5, 1.0], [float("nan"), 0.5], [[0.5], [0.25]]],
+)
 def test_ring_values_rejects_radius_outside_disc(r):
+    # a sequence of radii is rejected if any radius is, and so is a 2-D one
     with pytest.raises(ValueError, match="ring"):
         ring_values([0.0, 1.0], r, 16)
 
@@ -316,7 +365,8 @@ def test_ring_values_rejects_empty_ring():
 )
 def test_ring_values_property_against_horner(coeffs, r, nodes):
     got = ring_values(coeffs, r, nodes)
-    want = poly_eval(coeffs, ring(r, nodes))
+    want = upper_half(poly_eval(coeffs, ring(r, nodes)))
+    assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= horner_tol(coeffs, r, nodes)
 
 
@@ -327,6 +377,6 @@ def test_ring_values_parseval_is_exact_without_folding():
     coeffs = rng.uniform(-1.0, 1.0, 200)
     for r, nodes in ((0.5, 256), (0.99, 256), (0.9999, 512)):
         exact = 2.0 * np.pi * np.sum((coeffs * r ** np.arange(coeffs.size)) ** 2)
-        vals = ring_values(coeffs, r, nodes)
+        vals = full_ring(ring_values(coeffs, r, nodes), nodes)
         approx = 2.0 * np.pi * np.sum(np.abs(vals) ** 2) / nodes
         assert approx == pytest.approx(exact, rel=1e-13)
