@@ -10,45 +10,26 @@ results together with their sharp constants.
 
 from .qcore import (
     ClassParams,
-    basic_number,
-    criterion_weight,
     criterion_weights,
     ruscheweyh_coeff,
 )
 from .series import (
-    DEFAULT_RADII,
-    DiscPoint,
     PowerSeries,
     SampleGrid,
     Sign,
-    evaluate,
-    hadamard,
     poly_eval,
     q_derivative,
-    ruscheweyh,
-    ruscheweyh_kernel,
-    ruscheweyh_q_derivative,
 )
 from .classes import (
-    DegenerateDenominatorError,
-    MembershipReport,
     Verdict,
-    analytic_criterion_margin,
     coefficient_test,
     criterion_min_margin,
     extremal_function,
     random_member,
 )
 from .analysis import (
-    HALF_PLANE_COMPARISON,
-    ConvexComparison,
-    IntegralMeansComparison,
     QuadratureConfig,
-    SubordinationEvidence,
-    SubordinationReport,
-    UnsupportedComparisonError,
     WILF_RADII,
-    check_subordination,
     default_nodes,
     integral_means,
     min_real_part,
@@ -58,7 +39,6 @@ from .analysis import (
     subordination_constant,
     subordination_report,
     sweep_integral_means,
-    sweep_to_csv,
     verify_integral_means,
     wilf_positivity,
     wilf_sequence,
@@ -68,39 +48,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassParams",
-    "basic_number",
-    "criterion_weight",
     "criterion_weights",
     "ruscheweyh_coeff",
-    "DEFAULT_RADII",
-    "DiscPoint",
     "PowerSeries",
     "SampleGrid",
     "Sign",
-    "evaluate",
-    "hadamard",
     "poly_eval",
     "q_derivative",
-    "ruscheweyh",
-    "ruscheweyh_kernel",
-    "ruscheweyh_q_derivative",
-    "DegenerateDenominatorError",
-    "MembershipReport",
     "Verdict",
-    "analytic_criterion_margin",
     "coefficient_test",
     "criterion_min_margin",
     "extremal_function",
     "random_member",
-    "HALF_PLANE_COMPARISON",
-    "ConvexComparison",
-    "IntegralMeansComparison",
     "QuadratureConfig",
-    "SubordinationEvidence",
-    "SubordinationReport",
-    "UnsupportedComparisonError",
     "WILF_RADII",
-    "check_subordination",
     "default_nodes",
     "integral_means",
     "min_real_part",
@@ -110,7 +71,6 @@ __all__ = [
     "subordination_constant",
     "subordination_report",
     "sweep_integral_means",
-    "sweep_to_csv",
     "verify_integral_means",
     "wilf_positivity",
     "wilf_sequence",

@@ -4,7 +4,8 @@ Two families of numerical verification live here.  Integral means: the
 trapezoidal circle integral of |f|^eta against the order-2 extremal member,
 which certified members must never exceed.  Subordination: the sharp factor
 constant, the real-part lower bound it implies, Wilf positivity of the factor
-sequence, and the -1/2 sharpness probe.
+sequence, the -1/2 sharpness probe, and a sampled check of subordination to
+the half-plane map z/(1-z) for a coefficient array.
 
 Circle values come from series.ring_values, one real FFT per radius over the
 closed upper half ring; real coefficients make the lower half its conjugate
@@ -17,7 +18,7 @@ fixed order, so results are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +60,11 @@ def default_nodes(trunc: int) -> int:
 def _circle_integral(modulus: np.ndarray, eta: float):
     """Trapezoid integral of modulus**eta over a full turn from the closed upper
     half ring (last axis): node weights 1, 2, ..., 2, 1 times 2 pi / nodes."""
-    powered = modulus**eta
-    weighted = np.sum(powered, axis=-1) + np.sum(powered[..., 1:-1], axis=-1)
+    with np.errstate(over="ignore"):
+        powered = modulus**eta
+        weighted = np.sum(powered, axis=-1) + np.sum(powered[..., 1:-1], axis=-1)
+    if not np.isfinite(weighted).all():
+        raise ValueError("the circle integral overflows; coefficients are too large")
     return weighted * (np.pi / (powered.shape[-1] - 1))
 
 
@@ -253,33 +257,8 @@ def subordination_report(
 
 
 @dataclass(frozen=True)
-class ConvexComparison:
-    """A comparison function in closed form, with an explicit inverse on its
-    image when available.  Registered comparisons are normalized, g(0) = 0.
-    invert must commute with conjugation (real Taylor coefficients), since
-    check_subordination reads a PowerSeries only on the upper half ring."""
-
-    name: str
-    apply: Callable[[np.ndarray], np.ndarray]
-    invert: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-# The half-plane map z / (1 - z): convex, univalent, inverse w / (1 + w).
-HALF_PLANE_COMPARISON = ConvexComparison(
-    name="z/(1-z)",
-    apply=lambda z: z / (1.0 - z),
-    invert=lambda w: w / (1.0 + w),
-)
-
-
-class UnsupportedComparisonError(ValueError):
-    """The comparison has no registered inverse, so containment cannot be
-    tested from samples."""
-
-
-@dataclass(frozen=True)
 class SubordinationEvidence:
-    """Radius-by-radius containment evidence for candidate < comparison."""
+    """Radius-by-radius containment evidence for a series < z/(1-z)."""
 
     origin_ok: bool
     per_radius: tuple[tuple[float, float], ...]
@@ -299,34 +278,21 @@ class SubordinationEvidence:
 
 
 def check_subordination(
-    candidate,
-    comparison: ConvexComparison = HALF_PLANE_COMPARISON,
+    coeffs,
     grid: SampleGrid = SampleGrid(),
     tol: float = 1.0e-9,
 ) -> SubordinationEvidence:
-    """Test the checkable consequences of candidate being subordinate to
-    the comparison function.
+    """Test the checkable consequences of the series with real ascending
+    coefficients coeffs being subordinate to the half-plane map z/(1-z).
 
     Existence of a Schwarz function cannot be decided from samples, so the
-    check pulls each circle image back through the comparison inverse and
+    check pulls each circle image back through the inverse w/(1+w) and
     verifies it lands in the closed disc of the same radius, plus the value
-    match at the origin.  candidate is a PowerSeries or a callable accepting
-    a complex ndarray.
+    match at the origin.  The inverse commutes with conjugation, so the upper
+    half ring that grid.values returns carries the maximum.
     """
-    if comparison.invert is None:
-        raise UnsupportedComparisonError(
-            f"comparison {comparison.name!r} has no registered inverse"
-        )
-    if isinstance(candidate, PowerSeries):
-        coeffs = candidate.full()
-        ring_of = lambda r: ring_values(coeffs, r, grid.n_angles)  # noqa: E731
-    else:
-        theta = np.arange(grid.n_angles) * (2.0 * np.pi / grid.n_angles)
-        ring = np.exp(1j * theta)
-        ring_of = lambda r: candidate(r * ring)  # noqa: E731
-    origin_ok = bool(abs(ring_of(0.0)[0]) <= tol)
     per_radius = tuple(
-        (float(r), float(np.max(np.abs(comparison.invert(ring_of(r))))))
-        for r in grid.radii
+        (float(r), float(np.max(np.abs(v / (1.0 + v)))))
+        for r, v in zip(grid.radii, grid.values(coeffs))
     )
-    return SubordinationEvidence(origin_ok, per_radius, tol)
+    return SubordinationEvidence(bool(abs(coeffs[0]) <= tol), per_radius, tol)

@@ -1,6 +1,6 @@
 """Membership machinery for the q-starlike class: the sufficient coefficient
-test, extremal members, pointwise sampling of the analytic criterion, and a
-seeded random-member generator for property sweeps.
+test, extremal members, the minimum of the analytic criterion over a disc
+grid, and a seeded random-member generator for property sweeps.
 
 The coefficient test is *sufficient*: a PASS certifies membership, a FAIL
 proves nothing about the full class, so verdicts are deliberately named
@@ -17,11 +17,9 @@ import numpy as np
 
 from .qcore import ClassParams, criterion_weight, criterion_weights
 from .series import (
-    DiscPoint,
     PowerSeries,
     SampleGrid,
     Sign,
-    poly_eval,
     q_derivative,
     ruscheweyh,
 )
@@ -104,41 +102,25 @@ def extremal_function(n: int, params: ClassParams) -> PowerSeries:
     return PowerSeries(tuple(coeffs), Sign.MINUS)
 
 
-def _criterion_margins(f: PowerSeries, params: ClassParams, values):
-    """Margins of the analytic criterion at the disc points where
-    values(coeffs) evaluates an ascending coefficient sequence."""
+def criterion_min_margin(
+    f: PowerSeries, params: ClassParams, grid: SampleGrid = SampleGrid()
+) -> float:
+    """Minimum over a deterministic disc grid of the criterion margin
+    Re(W - alpha) - k |W - 1|, W = z D_q(R f)(z) / R f(z).
+
+    A positive minimum means the defining inequality of the class holds at
+    every grid point.  Raises DegenerateDenominatorError when |R f(z)| < 1e-14
+    at some grid point.  The reduction over points is a plain minimum, so the
+    result does not depend on evaluation order.
+    """
     g = ruscheweyh(f, params)
-    den = values(g.full())
+    den = grid.values(g.full())
     if np.min(np.abs(den)) < DEGENERATE_TOL:
         raise DegenerateDenominatorError(
             "Ruscheweyh transform vanishes at a sample point"
         )
-    w = values(np.concatenate(([0.0], q_derivative(g, params.q)))) / den
-    return w.real - params.alpha - params.k * np.abs(w - 1.0)
-
-
-def analytic_criterion_margin(
-    f: PowerSeries, params: ClassParams, point: DiscPoint
-) -> float:
-    """Re(W - alpha) - k |W - 1| at one point, W the criterion ratio.
-
-    W = z D_q(R f)(z) / R f(z).  A positive margin means the defining
-    inequality of the class holds at that point; raises
-    DegenerateDenominatorError when |R f(z)| < 1e-14 (in particular at z=0).
-    """
-    z = point.z()
-    return float(_criterion_margins(f, params, lambda coeffs: poly_eval(coeffs, z)))
-
-
-def criterion_min_margin(
-    f: PowerSeries, params: ClassParams, grid: SampleGrid = SampleGrid()
-) -> float:
-    """Minimum criterion margin over a deterministic disc grid.
-
-    The reduction over points is a plain minimum, so the result does not
-    depend on evaluation order.
-    """
-    return float(np.min(_criterion_margins(f, params, grid.values)))
+    w = grid.values(np.concatenate(([0.0], q_derivative(g, params.q)))) / den
+    return float(np.min(w.real - params.alpha - params.k * np.abs(w - 1.0)))
 
 
 def random_member(params: ClassParams, seed: int, density: float = 0.8) -> PowerSeries:

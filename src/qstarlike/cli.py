@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=float, default=0.0)
         p.add_argument("--trunc", type=int, default=64)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("human", "json", "csv"), default="human")
+    def add_format(p, *extra):
+        p.add_argument("--format", choices=("human", "json", *extra), default="human")
 
     def add_series(p):
         p.add_argument("--series", help="inline series JSON")
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="integral-means sweep over an (r, eta) grid")
     add_params(p)
-    add_format(p)
+    add_format(p, "csv")
     add_series(p)
     p.add_argument("--r-list", default="0.25,0.5,0.75,0.95")
     p.add_argument("--eta-list", default="0.5,1,2,3")
@@ -147,13 +147,15 @@ def _emit(doc: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _reject_csv(fmt: str) -> None:
-    if fmt == "csv":
-        raise ValueError("csv output is only available for the sweep command")
+def _require_certified(certified: bool, args, what: str) -> None:
+    if not certified and not args.allow_uncertified:
+        raise ValueError(
+            f"series fails the coefficient test, so the {what} "
+            "hypothesis is uncertified (use --allow-uncertified to force)"
+        )
 
 
 def cmd_membership(args) -> int:
-    _reject_csv(args.format)
     params = _params(args)
     f = _load_series(args, params, required=True)
     report = coefficient_test(f, params)
@@ -162,7 +164,6 @@ def cmd_membership(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    _reject_csv(args.format)
     params = _params(args)
     f = extremal_function(args.n, params)
     _emit(f.to_dict(), args.format)
@@ -170,19 +171,12 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_integral_means(args) -> int:
-    _reject_csv(args.format)
     params = _params(args)
     f = _load_series(args, params)
     nodes = default_nodes(max(f.order, params.trunc)) if args.nodes is None else args.nodes
     cfg = QuadratureConfig(nodes=nodes, r=args.r, eta=args.eta)
     cmp = verify_integral_means(f, params, cfg)
-    if not cmp.certified and not args.allow_uncertified:
-        print(
-            "error: series fails the coefficient test, so the integral-means "
-            "hypothesis is uncertified (use --allow-uncertified to force)",
-            file=sys.stderr,
-        )
-        return 2
+    _require_certified(cmp.certified, args, "integral-means")
     doc = {"r": cfg.r, "eta": cfg.eta, "nodes": cfg.nodes}
     doc.update(cmp.to_dict())
     _emit(doc, args.format)
@@ -190,17 +184,10 @@ def cmd_integral_means(args) -> int:
 
 
 def cmd_subordination(args) -> int:
-    _reject_csv(args.format)
     params = _params(args)
     f = _load_series(args, params)
     certified = coefficient_test(f, params).verdict is Verdict.SUFFICIENT_PASS
-    if not certified and not args.allow_uncertified:
-        print(
-            "error: series fails the coefficient test, so the subordination "
-            "hypothesis is uncertified (use --allow-uncertified to force)",
-            file=sys.stderr,
-        )
-        return 2
+    _require_certified(certified, args, "subordination")
     report = subordination_report(f, params)
     grid = SampleGrid(WILF_RADII + (0.999,), 512)
     min_re = min_real_part(f, grid)
@@ -245,7 +232,6 @@ def _limit_check(seed: int) -> dict:
 
 
 def cmd_limit_check(args) -> int:
-    _reject_csv(args.format)
     doc = _limit_check(args.seed)
     _emit(doc, args.format)
     ok = (
@@ -269,20 +255,14 @@ def cmd_sweep(args) -> int:
     params = _params(args)
     f = _load_series(args, params)
     certified = coefficient_test(f, params).verdict is Verdict.SUFFICIENT_PASS
-    if not certified and not args.allow_uncertified:
-        print(
-            "error: series fails the coefficient test, so the sweep "
-            "hypothesis is uncertified (use --allow-uncertified to force)",
-            file=sys.stderr,
-        )
-        return 2
+    _require_certified(certified, args, "sweep")
     r_values = _parse_float_list(args.r_list, "--r-list")
     eta_values = _parse_float_list(args.eta_list, "--eta-list")
     rows = sweep_integral_means(f, params, r_values, eta_values, nodes=args.nodes)
     if args.format == "csv":
         print(sweep_to_csv(rows), end="")
     elif args.format == "json":
-        print(json.dumps({"rows": [row._asdict() for row in rows]}, indent=2, allow_nan=False))
+        _emit({"rows": [row._asdict() for row in rows]}, "json")
     else:
         for row in rows:
             print(f"r={row.r} eta={row.eta} lhs={row.lhs} rhs={row.rhs} margin={row.margin}")

@@ -5,8 +5,11 @@ the tail magnitudes (a_2, ..., a_N) together with a sign convention: PLUS for
 z + sum a_n z^n with arbitrary real a_n, MINUS for z - sum a_n z^n with
 a_n >= 0 (the negative-coefficient family the membership machinery works in).
 
-Coefficients are real, so p(conj z) = conj p(z): ring_values evaluates only
-the closed upper half of each circle, and the lower half is its mirror image.
+The operations are the q-difference derivative, the Ruscheweyh transform,
+Horner evaluation at arbitrary points (poly_eval) and evaluation on circles
+(ring_values).  Coefficients are real, so p(conj z) = conj p(z): ring_values
+evaluates only the closed upper half of each circle, and the lower half is
+its mirror image.
 
 Series are immutable values; all operations return fresh objects and are safe
 for concurrent use.
@@ -15,7 +18,6 @@ for concurrent use.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,21 +73,6 @@ class PowerSeries:
         return cls((0.0,) * (trunc - 1))
 
 
-@dataclass(frozen=True)
-class DiscPoint:
-    """A sample point z = r e^{i theta} strictly inside the unit disc."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError(f"r must lie in [0, 1), got {self.r}")
-
-    def z(self) -> complex:
-        return self.r * complex(math.cos(self.theta), math.sin(self.theta))
-
-
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
@@ -136,14 +123,6 @@ def ring_values(coeffs, r, nodes: int) -> np.ndarray:
     return np.conj(values, out=values)
 
 
-def evaluate(f: PowerSeries, z):
-    """Value of the series at z, |z| < 1 (scalar or array)."""
-    arr = np.asarray(z, dtype=complex)
-    if np.any(np.abs(arr) >= 1.0):
-        raise ValueError("series evaluation requires |z| < 1")
-    return poly_eval(f.full(), z)
-
-
 def q_derivative(f: PowerSeries, q: float) -> np.ndarray:
     """Ascending coefficients of the q-difference derivative of f.
 
@@ -156,49 +135,12 @@ def q_derivative(f: PowerSeries, q: float) -> np.ndarray:
     return basic_number(np.arange(1.0, len(c)), q) * c[1:]
 
 
-def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Coefficient-wise (convolution) product of two series.
-
-    The implicit leading coefficients multiply to 1, so the result is again
-    normalized.  A shorter series is padded with zeros.  The result is tagged
-    MINUS when every tail product is nonpositive (and at least one negative),
-    which keeps the negative-coefficient family closed under convolution with
-    nonnegative kernels.
-    """
-    a, b = f.tail(), g.tail()
-    if len(a) < len(b):
-        a = np.pad(a, (0, len(b) - len(a)))
-    elif len(b) < len(a):
-        b = np.pad(b, (0, len(a) - len(b)))
-    prod = a * b
-    if prod.size and np.any(prod < 0.0) and np.all(prod <= 0.0):
-        return PowerSeries(tuple(-prod), Sign.MINUS)
-    return PowerSeries(tuple(prod), Sign.PLUS)
-
-
-def ruscheweyh_kernel(params: ClassParams) -> PowerSeries:
-    """Convolution kernel of the Ruscheweyh q-differential operator.
-
-    Tail coefficients are [lam+1]_{n-1} / [n-1]!; for lam = 0 this is the
-    truncated geometric series z/(1-z), the convolution identity.
-    """
-    return PowerSeries(tuple(kernel_coeffs(params.lam, params.q, params.trunc)), Sign.PLUS)
-
-
 def ruscheweyh(f: PowerSeries, params: ClassParams) -> PowerSeries:
     """Apply the Ruscheweyh q-differential operator to f.
 
-    Scales each tail coefficient by the kernel coefficient; identical to
-    hadamard(f, ruscheweyh_kernel(params)) and preserves the sign convention
-    because the kernel coefficients are positive.
+    Scales each tail coefficient by the kernel coefficient [lam+1]_{n-1} /
+    [n-1]! (all ones for lam = 0, the convolution identity z/(1-z)); this
+    preserves the sign convention because the kernel coefficients are positive.
     """
     weights = kernel_coeffs(params.lam, params.q, f.order)
     return PowerSeries(tuple(np.asarray(f.coeffs) * weights), f.sign)
-
-
-def ruscheweyh_q_derivative(f: PowerSeries, params: ClassParams) -> np.ndarray:
-    """Ascending coefficients of D_q applied to the Ruscheweyh transform.
-
-    The coefficient at z^{n-1} is [n] times the kernel coefficient times c_n.
-    """
-    return q_derivative(ruscheweyh(f, params), params.q)

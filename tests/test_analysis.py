@@ -3,22 +3,16 @@ import pytest
 
 from qstarlike import (
     ClassParams,
-    ConvexComparison,
-    HALF_PLANE_COMPARISON,
     PowerSeries,
     QuadratureConfig,
     SampleGrid,
     Sign,
-    UnsupportedComparisonError,
     WILF_RADII,
-    check_subordination,
-    coefficient_test,
-    criterion_weight,
     default_nodes,
-    evaluate,
     extremal_function,
     integral_means,
     min_real_part,
+    poly_eval,
     random_member,
     realpart_bound,
     schwarz_witness,
@@ -26,11 +20,12 @@ from qstarlike import (
     subordination_constant,
     subordination_report,
     sweep_integral_means,
-    sweep_to_csv,
     verify_integral_means,
     wilf_positivity,
     wilf_sequence,
 )
+from qstarlike.analysis import check_subordination, sweep_to_csv
+from qstarlike.qcore import criterion_weight
 
 NEAR_ONE = 1.0 - 1.0e-6
 
@@ -103,6 +98,17 @@ def test_integral_means_exact_parseval_at_sixteen_nodes():
             assert approx == pytest.approx(parseval_value(g, r), rel=1e-13)
 
 
+def test_circle_integral_overflow_is_a_value_error():
+    # |f|^2 overflows at 1e200; at 1e308 and eta = 1 the power is finite and
+    # the node sum overflows; neither may leak a warning or return inf
+    cfg = QuadratureConfig(nodes=256, r=0.5, eta=2.0)
+    with pytest.raises(ValueError, match="overflows"):
+        integral_means(PowerSeries((1e200,)), cfg)
+    p = ClassParams(q=0.5, trunc=8)
+    with pytest.raises(ValueError, match="overflows"):
+        sweep_integral_means(PowerSeries((1e308,)), p, (0.5,), (1.0,), nodes=256)
+
+
 def test_integral_means_self_convergence():
     f = PowerSeries((0.5,), Sign.MINUS)
     coarse = integral_means(f, QuadratureConfig(nodes=2048, r=0.9, eta=1.0))
@@ -155,7 +161,7 @@ def test_littlewood_ordering_for_composed_pairs():
         for r in (0.3, 0.6, 0.9):
             for eta in (0.5, 1.0, 2.0, 3.0):
                 nodes = 1024
-                lhs = circle_mean(lambda z: evaluate(g, w(z)), r, eta, nodes)
+                lhs = circle_mean(lambda z: poly_eval(g.full(), w(z)), r, eta, nodes)
                 rhs = integral_means(g, QuadratureConfig(nodes, r, eta))
                 assert lhs <= rhs * (1.0 + 1e-9)
 
@@ -181,8 +187,6 @@ def test_schwarz_witness_requires_minus_convention():
 
 
 def test_schwarz_witness_bounded_by_modulus():
-    from qstarlike import poly_eval
-
     rng = np.random.default_rng(23)
     for i, p in enumerate(MEMBER_PARAMS[::4]):
         f = random_member(p, seed=300 + i, density=1.0)
@@ -231,7 +235,7 @@ def test_min_real_part_odd_grid_matches_full_horner_grid(n_angles):
     points = np.outer(radii, np.exp(1j * theta))
     for seed in range(5):
         f = PowerSeries(tuple(np.random.default_rng(seed).uniform(-1.0, 1.0, 9)))
-        want = float(np.min(evaluate(f, points).real))
+        want = float(np.min(poly_eval(f.full(), points).real))
         assert min_real_part(f, grid) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
@@ -281,14 +285,31 @@ def test_subordination_report_fields():
     assert set(doc) == {"constant", "realpart_bound", "wilf_min", "sharpness_min"}
 
 
+# truncated z/(1-z); 0.9^600 is far below rounding, so on the default grid
+# it is the half-plane map itself
+HALF_PLANE = np.r_[0.0, np.ones(600)]
+
+
+def full_ring_subordination(coeffs, grid: SampleGrid) -> list[float]:
+    # test-local reference: Horner on the whole ring, pulled back through
+    # the inverse w / (1 + w) of z/(1-z)
+    theta = np.arange(grid.n_angles) * (2.0 * np.pi / grid.n_angles)
+    maxima = []
+    for r in grid.radii:
+        w = poly_eval(coeffs, r * np.exp(1j * theta))
+        maxima.append(float(np.max(np.abs(w / (1.0 + w)))))
+    return maxima
+
+
 def test_check_subordination_reflexive():
-    evidence = check_subordination(HALF_PLANE_COMPARISON.apply)
+    evidence = check_subordination(HALF_PLANE)
     assert evidence.origin_ok
     assert evidence.passed
 
 
 def test_check_subordination_square_witness():
-    evidence = check_subordination(lambda z: HALF_PLANE_COMPARISON.apply(z**2))
+    square = np.r_[0.0, np.tile([0.0, 1.0], 300)]  # z^2 / (1 - z^2)
+    evidence = check_subordination(square)
     assert evidence.passed
 
 
@@ -297,25 +318,34 @@ def test_check_subordination_sharp_member():
     for p in (ClassParams(q=0.5, trunc=8), ClassParams(q=0.9, lam=1.0, alpha=0.3, k=1.0, trunc=8)):
         c = subordination_constant(p)
         f2 = extremal_function(2, p)
-        evidence = check_subordination(lambda z: c * evaluate(f2, z), grid=grid)
+        evidence = check_subordination(c * f2.full(), grid=grid)
         assert evidence.passed
 
 
 def test_check_subordination_detects_violation():
-    evidence = check_subordination(lambda z: 2.0 * HALF_PLANE_COMPARISON.apply(z))
+    evidence = check_subordination(2.0 * HALF_PLANE)
+    assert not evidence.passed
+
+
+def test_check_subordination_origin_mismatch():
+    evidence = check_subordination(np.r_[0.5, HALF_PLANE[1:]])
+    assert not evidence.origin_ok
     assert not evidence.passed
 
 
 def test_check_subordination_accepts_power_series():
     f = PowerSeries((1.0,) * 12)  # truncated z/(1-z)
     grid = SampleGrid((0.2, 0.5), 32)
-    via_series = check_subordination(f, grid=grid)
-    via_callable = check_subordination(lambda z: evaluate(f, z), grid=grid)
-    assert via_series == via_callable
+    evidence = check_subordination(f.full(), grid=grid)
+    assert evidence.origin_ok
+    want = full_ring_subordination(f.full(), grid)
+    for (r, got), r_want, m_want in zip(evidence.per_radius, grid.radii, want):
+        assert r == r_want
+        assert got == pytest.approx(m_want, rel=1e-14)
     # the truncation tail is visible to the check: inside tolerance at the
     # small radius, an honest excess at the fat one
-    assert via_series.per_radius[0][1] <= 0.2 + 1e-9
-    assert via_series.per_radius[1][1] > 0.5
+    assert evidence.per_radius[0][1] <= 0.2 + 1e-9
+    assert evidence.per_radius[1][1] > 0.5
 
 
 @pytest.mark.parametrize("n_angles", [1, 7, 32, 33])
@@ -323,19 +353,13 @@ def test_check_subordination_series_branch_matches_full_ring(n_angles):
     grid = SampleGrid((0.2, 0.5, 0.9), n_angles)
     for seed in range(4):
         f = PowerSeries(tuple(np.random.default_rng(seed).uniform(-0.5, 0.5, 10)))
-        via_series = check_subordination(f, grid=grid)
-        via_callable = check_subordination(lambda z: evaluate(f, z), grid=grid)
-        assert via_series.origin_ok == via_callable.origin_ok
-        assert via_series.passed == via_callable.passed
-        for (r, got), (r_full, want) in zip(via_series.per_radius, via_callable.per_radius):
-            assert r == r_full
-            assert got == pytest.approx(want, rel=1e-14)
-
-
-def test_check_subordination_requires_inverse():
-    bare = ConvexComparison("mystery", apply=lambda z: z)
-    with pytest.raises(UnsupportedComparisonError):
-        check_subordination(lambda z: z, comparison=bare)
+        evidence = check_subordination(f.full(), grid=grid)
+        want = full_ring_subordination(f.full(), grid)
+        assert evidence.origin_ok
+        assert evidence.passed == all(m <= r + evidence.tol for r, m in zip(grid.radii, want))
+        for (r, got), r_want, m_want in zip(evidence.per_radius, grid.radii, want):
+            assert r == r_want
+            assert got == pytest.approx(m_want, rel=1e-14)
 
 
 def test_sweep_rows_and_csv():

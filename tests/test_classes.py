@@ -2,19 +2,17 @@ import pytest
 
 from qstarlike import (
     ClassParams,
-    DegenerateDenominatorError,
-    DiscPoint,
     PowerSeries,
     SampleGrid,
     Sign,
     Verdict,
-    analytic_criterion_margin,
     coefficient_test,
     criterion_min_margin,
-    criterion_weight,
     extremal_function,
     random_member,
 )
+from qstarlike.classes import DegenerateDenominatorError
+from qstarlike.qcore import criterion_weight
 
 NEAR_ONE = 1.0 - 1.0e-6
 
@@ -96,12 +94,13 @@ def test_extremal_function_rejects_bad_order():
 
 
 def test_criterion_margin_identity_function():
-    # f(z) = z gives ratio exactly 1, so margin is 1 - alpha everywhere
+    # f(z) = z gives ratio exactly 1, so margin is 1 - alpha everywhere; a
+    # one-angle grid samples the single point z = r
     f = PowerSeries.identity(6)
     for alpha in (0.0, 0.25, 0.75):
         p = ClassParams(q=0.4, lam=1.0, alpha=alpha, k=2.0, trunc=6)
-        m = analytic_criterion_margin(f, p, DiscPoint(0.7, 1.2))
-        assert m == pytest.approx(1.0 - alpha, abs=1e-14)
+        assert criterion_min_margin(f, p, SampleGrid((0.7,), 1)) == 1.0 - alpha
+        assert criterion_min_margin(f, p) == pytest.approx(1.0 - alpha, abs=1e-14)
 
 
 def test_criterion_margin_extremal_members_nonnegative():
@@ -115,7 +114,10 @@ def test_criterion_margin_detects_failure():
     # the positive real axis between the zero of f' and the zero of f
     p = ClassParams(q=NEAR_ONE, trunc=2)
     f = PowerSeries((2.0,), Sign.MINUS)
-    assert analytic_criterion_margin(f, p, DiscPoint(0.4, 0.0)) < 0.0
+    # at z = 0.4 the ratio is (1 - 0.8 [2]) / 0.2, about -3
+    at_04 = criterion_min_margin(f, p, SampleGrid((0.4,), 1))
+    assert at_04 == pytest.approx((1.0 - 0.8 * (1.0 + NEAR_ONE)) / 0.2, rel=1e-12)
+    assert at_04 < 0.0
     # f vanishes at z = 0.5, which sits on the default grid and is reported
     with pytest.raises(DegenerateDenominatorError):
         criterion_min_margin(f, p)
@@ -127,9 +129,7 @@ def test_criterion_margin_degenerate_denominator():
     p = ClassParams(q=0.5, trunc=2)
     f = PowerSeries((1.25,), Sign.MINUS)
     with pytest.raises(DegenerateDenominatorError):
-        analytic_criterion_margin(f, p, DiscPoint(0.8, 0.0))
-    with pytest.raises(DegenerateDenominatorError):
-        analytic_criterion_margin(f, p, DiscPoint(0.0, 0.0))
+        criterion_min_margin(f, p, SampleGrid((0.8,), 1))
 
 
 def test_criterion_min_margin_custom_grid():

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qstarlike.cli import main
 
@@ -115,14 +119,18 @@ def test_extremal_membership_round_trip(capsys):
 
 
 def test_csv_rejected_outside_sweep(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "membership", "--q", "0.5",
-        "--series", '{"sign":"minus","coeffs":[0.5]}',
-        "--format", "csv",
-    )
-    assert code == 2
-    assert "csv" in err
+    # csv is a --format choice of sweep only; every other command refuses it
+    for argv in (
+        ["membership", "--q", "0.5", "--series", '{"sign":"minus","coeffs":[0.5]}'],
+        ["extremal", "--n", "2"],
+        ["integral-means", "--seed", "7"],
+        ["subordination", "--seed", "7"],
+        ["limit-check"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2, argv
+        assert out == "", argv
+        assert "csv" in err, argv
 
 
 def test_integral_means_member(capsys):
@@ -252,3 +260,30 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sign"] == "minus"
+
+
+def refuse_non_finite(token):
+    raise ValueError(f"non-finite number {token} in JSON output")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sign=st.sampled_from(["plus", "minus"]),
+    coeffs=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=6),
+)
+@example(sign="plus", coeffs=[1e200])
+@example(sign="plus", coeffs=[1e308])
+def test_series_parse_boundary_property(sign, coeffs):
+    # any finite series: a verdict (exit 0 or 1) with strict JSON on stdout,
+    # or a usage error (exit 2) with nothing on stdout; the RuntimeWarning
+    # filter in pyproject.toml turns any leaked numpy warning into a failure
+    series = json.dumps({"sign": sign, "coeffs": coeffs})
+    for command in ("integral-means", "sweep", "subordination"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--series", series, "--allow-uncertified", "--format", "json"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+        else:
+            json.loads(out.getvalue(), parse_constant=refuse_non_finite)

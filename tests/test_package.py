@@ -1,0 +1,98 @@
+"""The package surface and the hygiene of its modules.
+
+The public names are the ones the acceptance suite, the README, the CLI and
+the benchmark harness in bench/ reach through ``qstarlike.``, plus ``Sign``
+(the type of ``PowerSeries.sign``).  A module that imports a name it never
+uses fails here, since no linter runs in the test suite.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import qstarlike
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qstarlike"
+
+PUBLIC = {
+    "ClassParams",
+    "criterion_weights",
+    "ruscheweyh_coeff",
+    "PowerSeries",
+    "SampleGrid",
+    "Sign",
+    "poly_eval",
+    "q_derivative",
+    "Verdict",
+    "coefficient_test",
+    "criterion_min_margin",
+    "extremal_function",
+    "random_member",
+    "QuadratureConfig",
+    "WILF_RADII",
+    "default_nodes",
+    "integral_means",
+    "min_real_part",
+    "realpart_bound",
+    "schwarz_witness",
+    "sharpness_minimum",
+    "subordination_constant",
+    "subordination_report",
+    "sweep_integral_means",
+    "verify_integral_means",
+    "wilf_positivity",
+    "wilf_sequence",
+    "__version__",
+}
+
+
+def test_public_names():
+    assert len(qstarlike.__all__) == len(set(qstarlike.__all__))
+    assert set(qstarlike.__all__) == PUBLIC
+    for name in qstarlike.__all__:
+        assert hasattr(qstarlike, name), name
+
+
+def test_bench_uses_only_public_names():
+    used = set()
+    for path in (ROOT / "bench" / "workloads.py", ROOT / "bench" / "test_bench.py"):
+        text = path.read_text()
+        used |= set(re.findall(r"\bqs\.(\w+)", text))
+        used |= set(re.findall(r"\bqstarlike\.(\w+)", text))
+    # submodules (qs.cli, qs.analysis) and module dunders are not re-exports
+    used = {
+        name
+        for name in used
+        if not name.startswith("__") and not (PACKAGE / f"{name}.py").exists()
+    }
+    assert "criterion_min_margin" in used
+    assert used <= set(qstarlike.__all__), sorted(used - set(qstarlike.__all__))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no other node of the module
+    reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_unused_import_check_detects_dead_import():
+    assert unused_imports("import math\nimport numpy as np\nx = np.pi\n") == ["math (line 1)"]
+    assert unused_imports("from .series import PowerSeries\nf: PowerSeries\n") == []
+
+
+def test_modules_have_no_unused_imports():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    for path in modules:
+        assert unused_imports(path.read_text()) == [], path.name

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstarlike import (
+from qstarlike.qcore import (
     ClassParams,
     basic_number,
     criterion_weight,
     criterion_weights,
+    kernel_coeffs,
     ruscheweyh_coeff,
 )
-from qstarlike.qcore import kernel_coeffs
 
 NEAR_ONE = 1.0 - 1.0e-6
 

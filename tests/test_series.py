@@ -6,20 +6,14 @@ from hypothesis import strategies as st
 
 from qstarlike import (
     ClassParams,
-    DiscPoint,
     PowerSeries,
     SampleGrid,
     Sign,
-    basic_number,
-    evaluate,
-    hadamard,
     poly_eval,
     q_derivative,
-    ruscheweyh,
-    ruscheweyh_kernel,
-    ruscheweyh_q_derivative,
 )
-from qstarlike.series import ring_values
+from qstarlike.qcore import basic_number
+from qstarlike.series import ring_values, ruscheweyh
 
 NEAR_ONE = 1.0 - 1.0e-6
 EPS = np.finfo(float).eps
@@ -28,14 +22,14 @@ EPS = np.finfo(float).eps
 def test_identity_series():
     f = PowerSeries.identity(8)
     assert f.order == 8
-    assert evaluate(f, 0.5j) == 0.5j
+    assert poly_eval(f.full(), 0.5j) == 0.5j
 
 
 def test_evaluate_direct_substitution():
     f = PowerSeries((0.5,), Sign.MINUS)
-    assert evaluate(f, 0.5) == pytest.approx(0.375, abs=1e-15)
+    assert poly_eval(f.full(), 0.5) == pytest.approx(0.375, abs=1e-15)
     g = PowerSeries((1.0, 1.0))
-    assert evaluate(g, 0.1) == pytest.approx(0.111, abs=1e-15)
+    assert poly_eval(g.full(), 0.1) == pytest.approx(0.111, abs=1e-15)
 
 
 def test_evaluate_matches_term_sum():
@@ -45,24 +39,16 @@ def test_evaluate_matches_term_sum():
     for _ in range(20):
         z = rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.random())
         expected = z + sum(c * z**n for n, c in enumerate(coeffs, start=2))
-        assert evaluate(f, z) == pytest.approx(expected, rel=1e-13)
-
-
-def test_evaluate_rejects_outside_disc():
-    f = PowerSeries.identity(4)
-    with pytest.raises(ValueError):
-        evaluate(f, 1.0)
-    with pytest.raises(ValueError):
-        evaluate(f, np.array([0.5, 1.2j]))
+        assert poly_eval(f.full(), z) == pytest.approx(expected, rel=1e-13)
 
 
 def test_evaluate_vectorized_matches_scalar():
     f = PowerSeries((0.3, -0.2, 0.1))
     z = np.array([0.1, 0.5j, -0.3 + 0.4j])
-    vals = evaluate(f, z)
+    vals = poly_eval(f.full(), z)
     assert vals.shape == (3,)
     for zi, vi in zip(z, vals):
-        assert vi == evaluate(f, complex(zi))
+        assert vi == poly_eval(f.full(), complex(zi))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -128,77 +114,38 @@ def test_q_derivative_difference_quotient_identity():
         d = q_derivative(f, q)
         z = rng.uniform(0.05, 0.9, 50) * np.exp(2j * np.pi * rng.random(50))
         lhs = poly_eval(d, z)
-        rhs = (evaluate(f, z) - evaluate(f, q * z)) / ((1.0 - q) * z)
+        rhs = (poly_eval(f.full(), z) - poly_eval(f.full(), q * z)) / ((1.0 - q) * z)
         assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-12
 
 
-def test_hadamard_definition():
-    f = PowerSeries((3.0,))
-    g = PowerSeries((2.0,))
-    assert hadamard(f, g).coeffs == (6.0,)
-
-
-def test_hadamard_geometric_identity():
-    rng = np.random.default_rng(3)
-    f = PowerSeries(tuple(rng.uniform(-1, 1, 10)))
-    ones = PowerSeries((1.0,) * 10)
-    assert hadamard(f, ones) == f
-
-
-def test_hadamard_pads_shorter_series():
-    f = PowerSeries((1.0, 2.0, 3.0))
-    g = PowerSeries((5.0,))
-    assert hadamard(f, g).coeffs == (5.0, 0.0, 0.0)
-
-
-def test_hadamard_minus_with_nonnegative_kernel_stays_minus():
-    f = PowerSeries((0.5, 0.25), Sign.MINUS)
-    g = PowerSeries((2.0, 4.0))
-    out = hadamard(f, g)
-    assert out.sign is Sign.MINUS
-    assert out.coeffs == (1.0, 1.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_hadamard_commutative_associative(data):
-    size = data.draw(st.integers(min_value=1, max_value=8))
-    box = st.floats(min_value=-2.0, max_value=2.0)
-    a = PowerSeries(tuple(data.draw(st.lists(box, min_size=size, max_size=size))))
-    b = PowerSeries(tuple(data.draw(st.lists(box, min_size=size, max_size=size))))
-    c = PowerSeries(tuple(data.draw(st.lists(box, min_size=size, max_size=size))))
-    np.testing.assert_array_equal(hadamard(a, b).tail(), hadamard(b, a).tail())
-    np.testing.assert_allclose(
-        hadamard(hadamard(a, b), c).tail(),
-        hadamard(a, hadamard(b, c)).tail(),
-        rtol=1e-15,
-        atol=1e-290,
-    )
+def kernel(params: ClassParams) -> tuple[float, ...]:
+    """Kernel coefficients [lam+1]_{n-1} / [n-1]!, n = 2..trunc: the
+    Ruscheweyh transform of the all-ones series z/(1-z)."""
+    return ruscheweyh(PowerSeries((1.0,) * (params.trunc - 1)), params).coeffs
 
 
 def test_kernel_lambda_zero_is_geometric():
-    kernel = ruscheweyh_kernel(ClassParams(q=0.4, trunc=12))
-    assert kernel.coeffs == (1.0,) * 11
+    assert kernel(ClassParams(q=0.4, trunc=12)) == (1.0,) * 11
 
 
 def test_kernel_lambda_one_is_brackets():
-    kernel = ruscheweyh_kernel(ClassParams(q=0.5, lam=1.0, trunc=6))
-    assert kernel.coeffs[0] == pytest.approx(1.5, rel=1e-15)
-    assert kernel.coeffs[1] == pytest.approx(1.75, rel=1e-14)
+    coeffs = kernel(ClassParams(q=0.5, lam=1.0, trunc=6))
+    assert coeffs[0] == pytest.approx(1.5, rel=1e-15)
+    assert coeffs[1] == pytest.approx(1.75, rel=1e-14)
 
 
 def test_kernel_classical_limit_binomials():
     import math
 
     for lam in (0, 1, 2, 3):
-        kernel = ruscheweyh_kernel(ClassParams(q=NEAR_ONE, lam=float(lam), trunc=12))
+        coeffs = kernel(ClassParams(q=NEAR_ONE, lam=float(lam), trunc=12))
         for n in range(2, 13):
             expected = math.comb(n + lam - 1, n - 1)
-            assert kernel.coeffs[n - 2] == pytest.approx(expected, rel=1e-3)
+            assert coeffs[n - 2] == pytest.approx(expected, rel=1e-3)
     # lam = 2 tightens to the n(n+1)/2 profile of z/(1-z)^3
-    kernel = ruscheweyh_kernel(ClassParams(q=NEAR_ONE, lam=2.0, trunc=12))
+    coeffs = kernel(ClassParams(q=NEAR_ONE, lam=2.0, trunc=12))
     for n in range(2, 13):
-        assert kernel.coeffs[n - 2] == pytest.approx(n * (n + 1) / 2, rel=1e-4)
+        assert coeffs[n - 2] == pytest.approx(n * (n + 1) / 2, rel=1e-4)
 
 
 def test_ruscheweyh_lambda_zero_identity():
@@ -227,29 +174,22 @@ def test_ruscheweyh_matches_kernel_hadamard():
     rng = np.random.default_rng(5)
     params = ClassParams(q=0.6, lam=2.5, trunc=10)
     f = PowerSeries(tuple(rng.uniform(0, 1, 9)), Sign.MINUS)
+    # the transform is the coefficient-wise product with the kernel, sign kept
     direct = ruscheweyh(f, params)
-    via_kernel = hadamard(f, ruscheweyh_kernel(params))
-    np.testing.assert_array_equal(direct.tail(), via_kernel.tail())
+    np.testing.assert_array_equal(direct.tail(), f.tail() * np.array(kernel(params)))
 
 
 def test_ruscheweyh_q_derivative():
     params = ClassParams(q=0.5, lam=1.0, trunc=4)
-    d = ruscheweyh_q_derivative(PowerSeries.identity(4), params)
+    d = q_derivative(ruscheweyh(PowerSeries.identity(4), params), params.q)
     assert d[0] == 1.0 and not d[1:].any()
-    d = ruscheweyh_q_derivative(PowerSeries((1.0, 0.0)), params)
+    d = q_derivative(ruscheweyh(PowerSeries((1.0, 0.0)), params), params.q)
     assert d[1] == pytest.approx(2.25, rel=1e-14)  # [2]^2 * 1
     # lam = 0 reduces to the plain q-derivative
     f = PowerSeries((0.3, 0.2, 0.1))
     np.testing.assert_array_equal(
-        ruscheweyh_q_derivative(f, ClassParams(q=0.5)), q_derivative(f, 0.5)
+        q_derivative(ruscheweyh(f, ClassParams(q=0.5)), 0.5), q_derivative(f, 0.5)
     )
-
-
-def test_disc_point():
-    p = DiscPoint(0.5, np.pi)
-    assert p.z() == pytest.approx(-0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        DiscPoint(1.0, 0.0)
 
 
 def test_sample_grid():
