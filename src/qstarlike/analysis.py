@@ -1,11 +1,10 @@
-"""Circle-integral comparisons and subordination checks.
+"""Circle-integral comparisons and subordination evidence.
 
 Two families of numerical verification live here.  Integral means: the
 trapezoidal circle integral of |f|^eta against the order-2 extremal member,
 which certified members must never exceed.  Subordination: the sharp factor
 constant, the real-part lower bound it implies, Wilf positivity of the factor
-sequence, the -1/2 sharpness probe, and a sampled check of subordination to
-the half-plane map z/(1-z) for a coefficient array.
+sequence, and the -1/2 sharpness probe.
 
 Circle values come from series.ring_values, one real FFT per radius over the
 closed upper half ring; real coefficients make the lower half its conjugate
@@ -17,6 +16,7 @@ fixed order, so results are reproducible run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -50,6 +50,8 @@ class QuadratureConfig:
             raise ValueError(f"r must lie in (0, 1), got {self.r}")
         if not self.eta > 0.0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
 
 
 def default_nodes(trunc: int) -> int:
@@ -114,6 +116,10 @@ class SweepRow(NamedTuple):
     lhs: float
     rhs: float
     margin: float
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs * (1.0 + INTEGRAL_MEANS_SLACK)
 
 
 def sweep_integral_means(
@@ -197,7 +203,7 @@ def realpart_bound(params: ClassParams) -> float:
     return -(1.0 - params.alpha + w2) / w2
 
 
-def sharpness_minimum(params: ClassParams, r: float, n_angles: int = 4096) -> float:
+def sharpness_minimum(params: ClassParams, r: float) -> float:
     """Minimum over the radius-r circle of Re(c * f_2(z)), c the factor
     constant and f_2 the order-2 extremal member.
 
@@ -207,7 +213,7 @@ def sharpness_minimum(params: ClassParams, r: float, n_angles: int = 4096) -> fl
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
     c = subordination_constant(params)
-    return c * float(np.min(ring_values(extremal_function(2, params).full(), r, n_angles).real))
+    return c * float(np.min(ring_values(extremal_function(2, params).full(), r, 4096).real))
 
 
 def min_real_part(f: PowerSeries, grid: SampleGrid = SampleGrid()) -> float:
@@ -239,60 +245,11 @@ class SubordinationReport:
         }
 
 
-def subordination_report(
-    f: PowerSeries,
-    params: ClassParams,
-    grid: SampleGrid | None = None,
-    sharpness_r: float = 0.9999,
-) -> SubordinationReport:
+def subordination_report(f: PowerSeries, params: ClassParams) -> SubordinationReport:
     """Assemble the subordination evidence for one member."""
-    if grid is None:
-        grid = SampleGrid(WILF_RADII, 64)
     return SubordinationReport(
         constant=subordination_constant(params),
         realpart_bound=realpart_bound(params),
-        wilf_min=wilf_positivity(wilf_sequence(f, params), grid),
-        sharpness_min=sharpness_minimum(params, sharpness_r),
+        wilf_min=wilf_positivity(wilf_sequence(f, params), SampleGrid(WILF_RADII, 64)),
+        sharpness_min=sharpness_minimum(params, 0.9999),
     )
-
-
-@dataclass(frozen=True)
-class SubordinationEvidence:
-    """Radius-by-radius containment evidence for a series < z/(1-z)."""
-
-    origin_ok: bool
-    per_radius: tuple[tuple[float, float], ...]
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.origin_ok and all(m <= r + self.tol for r, m in self.per_radius)
-
-    def to_dict(self) -> dict:
-        return {
-            "origin_ok": self.origin_ok,
-            "per_radius": [[r, m] for r, m in self.per_radius],
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
-def check_subordination(
-    coeffs,
-    grid: SampleGrid = SampleGrid(),
-    tol: float = 1.0e-9,
-) -> SubordinationEvidence:
-    """Test the checkable consequences of the series with real ascending
-    coefficients coeffs being subordinate to the half-plane map z/(1-z).
-
-    Existence of a Schwarz function cannot be decided from samples, so the
-    check pulls each circle image back through the inverse w/(1+w) and
-    verifies it lands in the closed disc of the same radius, plus the value
-    match at the origin.  The inverse commutes with conjugation, so the upper
-    half ring that grid.values returns carries the maximum.
-    """
-    per_radius = tuple(
-        (float(r), float(np.max(np.abs(v / (1.0 + v)))))
-        for r, v in zip(grid.radii, grid.values(coeffs))
-    )
-    return SubordinationEvidence(bool(abs(coeffs[0]) <= tol), per_radius, tol)

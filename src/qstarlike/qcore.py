@@ -36,10 +36,14 @@ class ClassParams:
             raise ValueError(f"q must lie in [{Q_MIN:g}, {Q_MAX}], got {self.q}")
         if not self.lam > -1.0:
             raise ValueError(f"lambda must be > -1, got {self.lam}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
         if not self.k >= 0.0:
             raise ValueError(f"k must be >= 0, got {self.k}")
+        if not math.isfinite(self.k):
+            raise ValueError(f"k must be finite, got {self.k}")
         if self.trunc < 2:
             raise ValueError(f"trunc must be >= 2, got {self.trunc}")
 

@@ -161,6 +161,37 @@ def test_integral_means_uncertified_needs_override(capsys):
     assert not doc["certified"] and not doc["holds"]
 
 
+def test_integral_means_checks_hypothesis_before_integrating(capsys):
+    # the circle integral of this series overflows, but the refusal of an
+    # uncertified series comes first, as it does for sweep
+    for command in ("integral-means", "sweep"):
+        code, out, err = run_cli(
+            capsys, command, "--series", '{"sign":"plus","coeffs":[1e200]}',
+        )
+        assert code == 2, command
+        assert out == "", command
+        assert "uncertified" in err, command
+        assert "overflows" not in err, command
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["membership", "--series", '{"sign":"minus","coeffs":[0.5]}', "--k", "inf"], "k"),
+        (["integral-means", "--k", "inf"], "k"),
+        (["extremal", "--n", "2", "--k", "inf"], "k"),
+        (["integral-means", "--lambda", "inf"], "lambda"),
+        (["integral-means", "--eta", "inf", "--format", "json"], "eta"),
+        (["sweep", "--eta-list", "2,inf", "--format", "json"], "eta"),
+    ],
+)
+def test_non_finite_parameter_is_a_usage_error(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} must be finite" in err
+
+
 def test_integral_means_default_nodes_follow_trunc(capsys):
     # 256 nodes alias a trunc-512 member: the eta = 2 integral at r = 0.95 is
     # then 2.1e-9 off Parseval, beyond the 1e-9 comparison slack
@@ -227,6 +258,29 @@ def test_sweep_violation_exits_one(capsys):
         "--allow-uncertified", "--format", "csv",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        ["--seed", "5", "--density", "0.5"],
+        ["--q", "0.9", "--series", '{"sign":"minus","coeffs":[2.0]}', "--allow-uncertified"],
+    ],
+)
+def test_integral_means_and_sweep_share_one_comparison(capsys, series):
+    for r, eta in (("0.5", "2"), ("0.9", "0.5")):
+        code, out, _ = run_cli(
+            capsys, "integral-means", *series, "--r", r, "--eta", eta, "--format", "json",
+        )
+        single = json.loads(out)
+        sweep_code, out, _ = run_cli(
+            capsys, "sweep", *series, "--r-list", r, "--eta-list", eta, "--format", "json",
+        )
+        (row,) = json.loads(out)["rows"]
+        assert (row["lhs"], row["rhs"], row["margin"]) == (
+            single["lhs"], single["rhs"], single["margin"],
+        )
+        assert sweep_code == code
 
 
 def test_sweep_rejects_bad_list(capsys):

@@ -3,7 +3,9 @@
 The public names are the ones the acceptance suite, the README, the CLI and
 the benchmark harness in bench/ reach through ``qstarlike.``, plus ``Sign``
 (the type of ``PowerSeries.sign``).  A module that imports a name it never
-uses fails here, since no linter runs in the test suite.
+uses fails here, since no linter runs in the test suite, and so does a
+module-level function or class that nothing in the package refers to: a name
+only its own unit test uses has no place in the package.
 """
 
 import ast
@@ -96,3 +98,38 @@ def test_modules_have_no_unused_imports():
     assert modules
     for path in modules:
         assert unused_imports(path.read_text()) == [], path.name
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes that no code in the given modules
+    refers to outside their own definition, by a Name, an Attribute or an
+    import alias; sources maps module names to their text."""
+    defined, refs = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.append((module, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.add((own, node.id))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((own, node.attr))
+                elif isinstance(node, ast.alias):
+                    refs.add((own, node.name))
+    used = {name for own, name in refs if name != own}
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_dead_name_check_detects_dead_function():
+    source = "def used():\n    pass\n\n\ndef dead():\n    return dead()\n\n\nx = used()\n"
+    assert dead_names({"m": source}) == ["m.dead"]
+    assert dead_names({"a": "class C:\n    pass\n", "b": "from .a import C\n"}) == []
+    assert dead_names({"a": "def f():\n    pass\n", "b": "import a\na.f()\n"}) == []
+
+
+def test_module_level_names_are_used():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert "cli" in sources
+    assert dead_names(sources) == []

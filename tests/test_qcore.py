@@ -273,6 +273,10 @@ def test_weights_finite_where_kernel_products_overflow(q, lam, trunc):
         {"q": 0.5, "alpha": -0.1},
         {"q": 0.5, "k": -0.5},
         {"q": 0.5, "trunc": 1},
+        {"q": 0.5, "lam": math.inf},
+        {"q": 0.5, "lam": math.nan},
+        {"q": 0.5, "k": math.inf},
+        {"q": 0.5, "k": math.nan},
     ],
 )
 def test_params_validation(kwargs):
