@@ -2,9 +2,9 @@
 
 Two families of numerical verification live here.  Integral means: the
 trapezoidal circle integral of |f|^eta against the order-2 extremal member,
-which certified members must never exceed.  Subordination: the sharp factor
-constant, the real-part lower bound it implies, Wilf positivity of the factor
-sequence, and the -1/2 sharpness probe.
+which certified members must never exceed, compared in sweep_integral_means.
+Subordination: the sharp factor constant, the real-part bound it implies,
+Wilf positivity of the factor sequence, and the exact -1/2 sharpness minimum.
 
 Circle values come from series.ring_values, one real FFT per radius over the
 closed upper half ring; real coefficients make the lower half its conjugate
@@ -67,47 +67,16 @@ def _circle_integral(modulus: np.ndarray, eta: float):
         weighted = np.sum(powered, axis=-1) + np.sum(powered[..., 1:-1], axis=-1)
     if not np.isfinite(weighted).all():
         raise ValueError("the circle integral overflows; coefficients are too large")
-    return weighted * (np.pi / (powered.shape[-1] - 1))
+    integral = weighted * (np.pi / (powered.shape[-1] - 1))
+    if (integral < np.finfo(float).tiny).any():
+        raise ValueError("the circle integral underflows; eta is too large for the radius")
+    return integral
 
 
 def integral_means(f: PowerSeries, cfg: QuadratureConfig) -> float:
     """Trapezoidal value of the integral of |f(r e^{i theta})|^eta over a full
     turn of cfg.nodes uniform nodes; it converges spectrally in the node count."""
     return float(_circle_integral(np.abs(ring_values(f.full(), cfg.r, cfg.nodes)), cfg.eta))
-
-
-@dataclass(frozen=True)
-class IntegralMeansComparison:
-    """Circle integral of f (lhs) against the order-2 extremal member (rhs).
-
-    certified=False flags that f failed the coefficient test, so the
-    comparison was computed outside the guaranteed hypothesis.
-    """
-
-    lhs: float
-    rhs: float
-    certified: bool
-    holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.rhs - self.lhs,
-            "certified": self.certified,
-            "holds": self.holds,
-        }
-
-
-def verify_integral_means(
-    f: PowerSeries, params: ClassParams, cfg: QuadratureConfig
-) -> IntegralMeansComparison:
-    """Compare circle integrals of f and the order-2 extremal member."""
-    certified = coefficient_test(f, params).verdict is Verdict.SUFFICIENT_PASS
-    lhs = integral_means(f, cfg)
-    rhs = integral_means(extremal_function(2, params), cfg)
-    holds = lhs <= rhs * (1.0 + INTEGRAL_MEANS_SLACK)
-    return IntegralMeansComparison(lhs, rhs, certified, holds)
 
 
 class SweepRow(NamedTuple):
@@ -127,12 +96,11 @@ def sweep_integral_means(
     params: ClassParams,
     r_values: Sequence[float],
     eta_values: Sequence[float],
-    nodes: int | None = None,
+    nodes: int,
 ) -> list[SweepRow]:
-    """Integral-means comparison over an (r, eta) grid; margin = rhs - lhs.
-    |f| and |f_2| are evaluated once for all radii and shared by every eta."""
-    if nodes is None:
-        nodes = default_nodes(max(f.order, params.trunc))
+    """Integral-means comparison over an (r, eta) grid; nodes is required and
+    margin = rhs - lhs.  |f| and |f_2| are evaluated once for all radii and
+    shared by every eta."""
     radii = [QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values]
     etas = [QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values]
     mod = np.abs(ring_values(f.full(), radii, nodes))
@@ -144,6 +112,29 @@ def sweep_integral_means(
         for i, r in enumerate(radii)
         for j, eta in enumerate(etas)
     ]
+
+
+@dataclass(frozen=True)
+class IntegralMeansComparison:
+    """Circle integral of f (lhs) against the order-2 extremal member (rhs).
+
+    certified=False flags that f failed the coefficient test, so the
+    comparison was computed outside the guaranteed hypothesis.
+    """
+
+    lhs: float
+    rhs: float
+    certified: bool
+    holds: bool
+
+
+def verify_integral_means(
+    f: PowerSeries, params: ClassParams, cfg: QuadratureConfig
+) -> IntegralMeansComparison:
+    """The single (cfg.r, cfg.eta) cell of sweep_integral_means."""
+    certified = coefficient_test(f, params).verdict is Verdict.SUFFICIENT_PASS
+    (row,) = sweep_integral_means(f, params, (cfg.r,), (cfg.eta,), cfg.nodes)
+    return IntegralMeansComparison(row.lhs, row.rhs, certified, row.holds)
 
 
 CSV_HEADER = "r,eta,lhs,rhs,margin"
@@ -205,15 +196,17 @@ def realpart_bound(params: ClassParams) -> float:
 
 def sharpness_minimum(params: ClassParams, r: float) -> float:
     """Minimum over the radius-r circle of Re(c * f_2(z)), c the factor
-    constant and f_2 the order-2 extremal member.
+    constant and f_2(z) = z - a z^2, a = (1 - alpha) / weight_2.
 
-    Decreases monotonically in r, never falls below -1/2, and approaches
-    -1/2 as r -> 1: the constant cannot be improved.
+    Re f_2(r e^{it}) = r cos t - a r^2 cos 2t is concave in cos t, so it is
+    least at cos t = -1, and the minimum is c f_2(-r) = -r (weight_2 +
+    (1 - alpha) r) / (2 (1 - alpha + weight_2)).  It decreases in r, stays
+    above -1/2 and tends to -1/2 as r -> 1: the constant cannot be improved.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    c = subordination_constant(params)
-    return c * float(np.min(ring_values(extremal_function(2, params).full(), r, 4096).real))
+    w2 = criterion_weight(2, params)
+    return -r * (w2 + (1.0 - params.alpha) * r) / (2.0 * (1.0 - params.alpha + w2))
 
 
 def min_real_part(f: PowerSeries, grid: SampleGrid = SampleGrid()) -> float:

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    QuadratureConfig,
     SampleGrid,
     WILF_RADII,
     default_nodes,
@@ -36,7 +35,6 @@ from .analysis import (
     subordination_report,
     sweep_integral_means,
     sweep_to_csv,
-    verify_integral_means,
 )
 from .classes import Verdict, coefficient_test, extremal_function, random_member
 from .qcore import ClassParams, kernel_coeffs
@@ -161,6 +159,10 @@ def _certified_member(args, what: str) -> tuple[ClassParams, PowerSeries, bool]:
     return params, f, certified
 
 
+def _nodes(args, params: ClassParams, f: PowerSeries) -> int:
+    return default_nodes(max(f.order, params.trunc)) if args.nodes is None else args.nodes
+
+
 def cmd_membership(args) -> int:
     params = _params(args)
     f = _load_series(args, params, required=True)
@@ -177,14 +179,13 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_integral_means(args) -> int:
-    params, f, _ = _certified_member(args, "integral-means")
-    nodes = default_nodes(max(f.order, params.trunc)) if args.nodes is None else args.nodes
-    cfg = QuadratureConfig(nodes=nodes, r=args.r, eta=args.eta)
-    cmp = verify_integral_means(f, params, cfg)
-    doc = {"r": cfg.r, "eta": cfg.eta, "nodes": cfg.nodes}
-    doc.update(cmp.to_dict())
+    params, f, certified = _certified_member(args, "integral-means")
+    nodes = _nodes(args, params, f)
+    (row,) = sweep_integral_means(f, params, (args.r,), (args.eta,), nodes)
+    doc = {"r": row.r, "eta": row.eta, "nodes": nodes, "lhs": row.lhs, "rhs": row.rhs}
+    doc.update(margin=row.margin, certified=certified, holds=row.holds)
     _emit(doc, args.format)
-    return 0 if cmp.holds else 1
+    return 0 if row.holds else 1
 
 
 def cmd_subordination(args) -> int:
@@ -256,7 +257,7 @@ def cmd_sweep(args) -> int:
     params, f, _ = _certified_member(args, "sweep")
     r_values = _parse_float_list(args.r_list, "--r-list")
     eta_values = _parse_float_list(args.eta_list, "--eta-list")
-    rows = sweep_integral_means(f, params, r_values, eta_values, nodes=args.nodes)
+    rows = sweep_integral_means(f, params, r_values, eta_values, _nodes(args, params, f))
     if args.format == "csv":
         print(sweep_to_csv(rows), end="")
     elif args.format == "json":

@@ -91,12 +91,17 @@ def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarr
     sufficient membership condition, for n = 2..order (default trunc).
 
     Strictly positive under the parameter domain, since
-    [n] >= 1 + q > 1 >= (k + alpha) / (1 + k).
+    [n] >= 1 + q > 1 >= (k + alpha) / (1 + k); a weight that overflows,
+    as a k near the float maximum makes it, is a ValueError.
     """
     top = params.trunc if order is None else order
     bracket = basic_number(np.arange(2.0, top + 1.0), params.q)
-    factor = bracket * (1.0 + params.k) - params.k - params.alpha
-    return factor * kernel_coeffs(params.lam, params.q, top)
+    with np.errstate(over="ignore"):
+        factor = bracket * (1.0 + params.k) - params.k - params.alpha
+        weights = factor * kernel_coeffs(params.lam, params.q, top)
+    if not np.isfinite(weights).all():
+        raise ValueError(f"criterion weights overflow at k = {params.k}, lambda = {params.lam}")
+    return weights
 
 
 def criterion_weight(n: int, params: ClassParams) -> float:

@@ -67,11 +67,6 @@ class PowerSeries:
     def from_dict(cls, data: dict) -> "PowerSeries":
         return cls(tuple(data["coeffs"]), Sign(data["sign"]))
 
-    @classmethod
-    def identity(cls, trunc: int = 2) -> "PowerSeries":
-        """The function f(z) = z at the given truncation order."""
-        return cls((0.0,) * (trunc - 1))
-
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 

@@ -3,9 +3,12 @@ its argv, exit code and stdout.
 
     PYTHONPATH=src python tests/golden/generate.py            # every case
     PYTHONPATH=src python tests/golden/generate.py limit_check  # named cases
+    PYTHONPATH=src python tests/golden/generate.py --check    # compare only
 
 Regenerate a case only when a change means to alter its output, and record
-the diff in CHANGES.md.  ``test_golden.py`` replays the corpus.
+the diff in CHANGES.md.  ``--check`` writes nothing: it names each case whose
+exit code or stdout is no longer byte-identical and exits 1 if there is one.
+``test_golden.py`` replays the corpus to a tolerance, and remains the gate.
 """
 
 from __future__ import annotations
@@ -119,5 +122,21 @@ def write_cases(names: list[str]) -> None:
         print(f"{name}: exit {code}")
 
 
+def moved_cases(names: list[str]) -> list[str]:
+    """Cases whose exit code or stdout differs byte for byte from the corpus."""
+    table = cases()
+    moved = []
+    for name in names or sorted(table):
+        golden = json.loads((GOLDEN / f"{name}.json").read_text())
+        if run(table[name]) != (golden["exit_code"], golden["stdout"]):
+            moved.append(name)
+    return moved
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--check"]:
+        moved = moved_cases(sys.argv[2:])
+        for name in moved:
+            print(f"{name}: moved")
+        sys.exit(1 if moved else 0)
     write_cases(sys.argv[1:])

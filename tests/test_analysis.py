@@ -26,6 +26,7 @@ from qstarlike import (
 )
 from qstarlike.analysis import sweep_to_csv
 from qstarlike.qcore import criterion_weight
+from qstarlike.series import ring_values
 
 NEAR_ONE = 1.0 - 1.0e-6
 
@@ -73,7 +74,7 @@ def test_default_nodes():
 
 def test_integral_means_identity():
     cfg = QuadratureConfig(nodes=256, r=0.5, eta=2.0)
-    value = integral_means(PowerSeries.identity(4), cfg)
+    value = integral_means(PowerSeries((0.0,) * 3), cfg)
     assert value == pytest.approx(2.0 * np.pi * 0.25, rel=1e-12)
 
 
@@ -111,6 +112,17 @@ def test_circle_integral_overflow_is_a_value_error():
         sweep_integral_means(PowerSeries((1e308,)), p, (0.5,), (1.0,), nodes=256)
 
 
+def test_circle_integral_underflow_is_a_value_error():
+    # |f|**eta underflows to 0 at every node, so an integral of 0 would make
+    # the comparison vacuous; 0.5**1100 is below the smallest normal float
+    cfg = QuadratureConfig(nodes=256, r=0.5, eta=1e308)
+    with pytest.raises(ValueError, match="underflows"):
+        integral_means(PowerSeries((0.5,), Sign.MINUS), cfg)
+    p = ClassParams(q=0.5, trunc=8)
+    with pytest.raises(ValueError, match="underflows"):
+        sweep_integral_means(PowerSeries((0.0,) * 7), p, (0.5,), (2.0, 1100.0), nodes=256)
+
+
 def test_integral_means_self_convergence():
     f = PowerSeries((0.5,), Sign.MINUS)
     coarse = integral_means(f, QuadratureConfig(nodes=2048, r=0.9, eta=1.0))
@@ -129,7 +141,7 @@ def test_verify_integral_means_reflexive_case():
 def test_verify_integral_means_identity_below_extremal():
     p = ClassParams(q=0.5, trunc=8)
     cmp = verify_integral_means(
-        PowerSeries.identity(8), p, QuadratureConfig(nodes=256, r=0.5, eta=2.0)
+        PowerSeries((0.0,) * 7), p, QuadratureConfig(nodes=256, r=0.5, eta=2.0)
     )
     assert cmp.certified and cmp.holds
     assert cmp.lhs == pytest.approx(2.0 * np.pi * 0.25, rel=1e-12)
@@ -224,7 +236,7 @@ def test_subordination_constant_values():
 
 def test_realpart_bound_values():
     assert realpart_bound(ClassParams(q=NEAR_ONE)) == pytest.approx(-1.5, abs=1e-5)
-    assert min_real_part(PowerSeries.identity(4)) > realpart_bound(ClassParams(q=0.5))
+    assert min_real_part(PowerSeries((0.0,) * 3)) > realpart_bound(ClassParams(q=0.5))
 
 
 @pytest.mark.parametrize("n_angles", [1, 7])
@@ -268,6 +280,17 @@ def test_sharpness_minimum_matches_closed_form():
             assert sharpness_minimum(p, r) == pytest.approx(
                 -c * (r + beta * r * r), rel=1e-12
             )
+    # the sampled minimum over a 4096-node ring of the full-length f_2; node
+    # 2048 is theta = pi, so the ring's minimum is the same point
+    for q in (1e-6, 0.5, 0.99, NEAR_ONE):
+        for lam in (-0.99, 0.0, 50.0):
+            for alpha, k in ((0.0, 0.0), (0.3, 1.0), (0.9, 5.0)):
+                p = ClassParams(q=q, lam=lam, alpha=alpha, k=k)
+                c = subordination_constant(p)
+                f2 = extremal_function(2, p).full()
+                for r in (0.1, 0.5, 0.9, 0.99, 0.9999):
+                    sampled = c * float(np.min(ring_values(f2, r, 4096).real))
+                    assert sharpness_minimum(p, r) == pytest.approx(sampled, rel=1e-15)
 
 
 def test_sharpness_minimum_rejects_bad_radius():
@@ -316,6 +339,8 @@ def test_sweep_rows_match_integral_means():
         assert row.lhs == integral_means(f, cfg)
         assert row.rhs == integral_means(f2, cfg)
         assert row.margin == row.rhs - row.lhs
+        cmp = verify_integral_means(f, p, cfg)
+        assert (cmp.lhs, cmp.rhs, cmp.holds) == (row.lhs, row.rhs, row.holds)
 
 
 @pytest.mark.parametrize(
@@ -325,4 +350,4 @@ def test_sweep_rows_match_integral_means():
 def test_sweep_validates_radii_etas_and_nodes(r_values, eta_values, nodes):
     p = ClassParams(q=0.5, trunc=8)
     with pytest.raises(ValueError):
-        sweep_integral_means(PowerSeries.identity(8), p, r_values, eta_values, nodes=nodes)
+        sweep_integral_means(PowerSeries((0.0,) * 7), p, r_values, eta_values, nodes=nodes)

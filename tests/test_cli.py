@@ -192,6 +192,56 @@ def test_non_finite_parameter_is_a_usage_error(capsys, argv, name):
     assert f"error: {name} must be finite" in err
 
 
+@pytest.mark.parametrize("eta", ["1100", "1e308"])
+def test_underflowing_circle_integral_is_a_usage_error(capsys, eta):
+    # at r = 0.5, |f|**1100 underflows to 0 at every node, and at 1e308 so
+    # does |f_2|**eta; a zero lhs would make the verdict vacuous
+    code, out, err = run_cli(capsys, "integral-means", "--eta", eta)
+    assert code == 2
+    assert out == ""
+    assert "underflows" in err
+
+
+def test_huge_k_overflowing_the_weights_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "subordination", "--k", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "k = 1e+308" in err
+    # the order-2 weight of a one-coefficient series stays finite
+    code, out, _ = run_cli(
+        capsys, "membership", "--k", "1e308",
+        "--series", '{"sign":"minus","coeffs":[0.5]}', "--format", "json",
+    )
+    assert code == 1
+    assert json.loads(out)["per_term"] == [[2, 5e307, 2.5e307]]
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        ["--seed", "7"],
+        ["--q", "0.9", "--series", '{"sign":"minus","coeffs":[2.0]}', "--allow-uncertified"],
+    ],
+)
+def test_integral_means_runs_the_coefficient_test_once(capsys, monkeypatch, series):
+    from qstarlike import analysis, cli
+
+    calls = []
+
+    def counting(test):
+        def counted(f, params):
+            calls.append(test)
+            return test(f, params)
+
+        return counted
+
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "coefficient_test", counting(module.coefficient_test))
+    code, _, _ = run_cli(capsys, "integral-means", *series, "--format", "json")
+    assert code in (0, 1)
+    assert len(calls) == 1
+
+
 def test_integral_means_default_nodes_follow_trunc(capsys):
     # 256 nodes alias a trunc-512 member: the eta = 2 integral at r = 0.95 is
     # then 2.1e-9 off Parseval, beyond the 1e-9 comparison slack

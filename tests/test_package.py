@@ -4,8 +4,9 @@ The public names are the ones the acceptance suite, the README, the CLI and
 the benchmark harness in bench/ reach through ``qstarlike.``, plus ``Sign``
 (the type of ``PowerSeries.sign``).  A module that imports a name it never
 uses fails here, since no linter runs in the test suite, and so does a
-module-level function or class that nothing in the package refers to: a name
-only its own unit test uses has no place in the package.
+module-level function or class, or a method or property of such a class,
+that nothing in the package refers to: a name only its own unit test uses
+has no place in the package.
 """
 
 import ast
@@ -100,26 +101,42 @@ def test_modules_have_no_unused_imports():
         assert unused_imports(path.read_text()) == [], path.name
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def dead_names(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes that no code in the given modules
-    refers to outside their own definition, by a Name, an Attribute or an
-    import alias; sources maps module names to their text."""
+    """Module-level functions and classes, and the non-dunder methods and
+    properties of those classes, that no code in the given modules refers to
+    outside their own definition, by a Name, an Attribute or an import alias;
+    sources maps module names to their text.  Matching is by name alone: a
+    method counts as used wherever any attribute of the same name is read."""
     defined, refs = [], set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = stmt.name
-                defined.append((module, own))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    refs.add((own, node.id))
-                elif isinstance(node, ast.Attribute):
-                    refs.add((own, node.attr))
-                elif isinstance(node, ast.alias):
-                    refs.add((own, node.name))
+            units = [(None, stmt)]
+            if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
+                defined.append((module, stmt.name, stmt.name))
+                units = [(stmt.name, stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                methods = [
+                    node
+                    for node in stmt.body
+                    if isinstance(node, FUNCTIONS) and not node.name.startswith("__")
+                ]
+                parts = (*stmt.decorator_list, *stmt.bases, *stmt.body)
+                rest = [node for node in parts if node not in methods]
+                units = [(stmt.name, node) for node in rest] + [(m.name, m) for m in methods]
+                defined.extend((module, f"{stmt.name}.{m.name}", m.name) for m in methods)
+            for own, unit in units:
+                for node in ast.walk(unit):
+                    if isinstance(node, ast.Name):
+                        refs.add((own, node.id))
+                    elif isinstance(node, ast.Attribute):
+                        refs.add((own, node.attr))
+                    elif isinstance(node, ast.alias):
+                        refs.add((own, node.name))
     used = {name for own, name in refs if name != own}
-    return [f"{module}.{name}" for module, name in defined if name not in used]
+    return [f"{module}.{qual}" for module, qual, name in defined if name not in used]
 
 
 def test_dead_name_check_detects_dead_function():
@@ -127,6 +144,23 @@ def test_dead_name_check_detects_dead_function():
     assert dead_names({"m": source}) == ["m.dead"]
     assert dead_names({"a": "class C:\n    pass\n", "b": "from .a import C\n"}) == []
     assert dead_names({"a": "def f():\n    pass\n", "b": "import a\na.f()\n"}) == []
+
+
+def test_dead_name_check_detects_dead_method():
+    source = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n\n"
+        "    def used(self):\n"
+        "        pass\n\n"
+        "    def dead(self):\n"
+        "        return self.dead()\n\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+    )
+    assert dead_names({"m": source, "n": "from .m import C\nx = C().size\n"}) == ["m.C.dead"]
+    assert dead_names({"m": source}) == ["m.C", "m.C.dead", "m.C.size"]
 
 
 def test_module_level_names_are_used():

@@ -170,6 +170,14 @@ def test_scalar_coefficients_reject_order_below_two():
         criterion_weight(1, ClassParams(q=0.5))
 
 
+def test_criterion_weights_overflow_is_a_value_error():
+    # [n] (1 + k) overflows for k near the float maximum once [n] > 1.8
+    p = ClassParams(q=0.5, k=1e308, trunc=8)
+    with pytest.raises(ValueError, match=r"overflow at k = 1e\+308"):
+        criterion_weights(p)
+    assert criterion_weight(2, p) == pytest.approx(0.5e308, rel=1e-15)
+
+
 def test_criterion_weights_matches_scalar():
     p = ClassParams(q=0.6, lam=1.5, alpha=0.25, k=2.0, trunc=10)
     w = criterion_weights(p)
