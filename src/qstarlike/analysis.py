@@ -54,9 +54,9 @@ class QuadratureConfig:
             raise ValueError(f"eta must be finite, got {self.eta}")
 
 
-def default_nodes(trunc: int) -> int:
-    """Smallest power of two >= max(256, 4 * trunc)."""
-    return 1 << (max(256, 4 * trunc) - 1).bit_length()
+def default_nodes(order: int) -> int:
+    """Smallest power of two >= max(256, 4 * order), for a series of that order."""
+    return 1 << (max(256, 4 * order) - 1).bit_length()
 
 
 def _circle_integral(modulus: np.ndarray, eta: float):
@@ -228,14 +228,6 @@ class SubordinationReport:
             raise ValueError(f"factor constant must lie in (0, 1/2), got {self.constant}")
         if not self.realpart_bound < -1.0:
             raise ValueError(f"real-part bound must be < -1, got {self.realpart_bound}")
-
-    def to_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "realpart_bound": self.realpart_bound,
-            "wilf_min": self.wilf_min,
-            "sharpness_min": self.sharpness_min,
-        }
 
 
 def subordination_report(f: PowerSeries, params: ClassParams) -> SubordinationReport:

@@ -14,7 +14,8 @@ Series may be passed inline (--series) or from a file (--series-file) as
 series fall back to a seeded random member when none is given.
 
 Exit codes: 0 verified/pass, 1 numerical verification failure, 2 usage or
-parameter error.  Identical invocations produce byte-identical output.
+parameter error, 141 when the reader closes stdout early.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,8 @@ from .series import PowerSeries, poly_eval, q_derivative
 LIMIT_Q = 1.0 - 1.0e-6
 KERNEL_LIMIT_TOL = 1.0e-3
 DERIVATIVE_LIMIT_TOL = 1.0e-4
-NODES_HELP = "quadrature nodes, a power of two >= 16 (default: max(256, 4*trunc) rounded up)"
+NODES_HELP = "quadrature nodes, a power of two >= 16 (default: max(256, 4*order) rounded up)"
+FORCED_HELP = "proceed even if the series fails the coefficient test"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,53 +67,54 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, *extra):
         p.add_argument("--format", choices=("human", "json", *extra), default="human")
 
-    def add_series(p):
+    def add_series(p, forced=False):
         p.add_argument("--series", help="inline series JSON")
         p.add_argument("--series-file", help="path to a series JSON file")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--density", type=float, default=0.8)
+        if forced:
+            p.add_argument("--allow-uncertified", action="store_true", help=FORCED_HELP)
 
     p = sub.add_parser("membership", help="run the sufficient coefficient test")
+    p.set_defaults(run=cmd_membership)
     add_params(p)
     add_format(p)
     add_series(p)
 
     p = sub.add_parser("extremal", help="emit the order-n extremal member")
+    p.set_defaults(run=cmd_extremal)
     add_params(p)
     add_format(p)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("integral-means", help="compare circle integrals against the extremal member")
+    p.set_defaults(run=cmd_integral_means)
     add_params(p)
     add_format(p)
-    add_series(p)
+    add_series(p, forced=True)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--nodes", type=int, default=None, help=NODES_HELP)
-    p.add_argument(
-        "--allow-uncertified",
-        action="store_true",
-        help="proceed even if the series fails the coefficient test",
-    )
 
     p = sub.add_parser("subordination", help="factor constant, Wilf positivity, and sharpness")
+    p.set_defaults(run=cmd_subordination)
     add_params(p)
     add_format(p)
-    add_series(p)
-    p.add_argument("--allow-uncertified", action="store_true")
+    add_series(p, forced=True)
 
     p = sub.add_parser("limit-check", help="near-classical consistency checks (q -> 1)")
+    p.set_defaults(run=cmd_limit_check)
     add_format(p)
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("sweep", help="integral-means sweep over an (r, eta) grid")
+    p.set_defaults(run=cmd_sweep)
     add_params(p)
     add_format(p, "csv")
-    add_series(p)
+    add_series(p, forced=True)
     p.add_argument("--r-list", default="0.25,0.5,0.75,0.95")
     p.add_argument("--eta-list", default="0.5,1,2,3")
     p.add_argument("--nodes", type=int, default=None, help=NODES_HELP)
-    p.add_argument("--allow-uncertified", action="store_true")
 
     return parser
 
@@ -144,7 +149,7 @@ def _emit(doc: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _certified_member(args, what: str) -> tuple[ClassParams, PowerSeries, bool]:
+def _certified_member(args) -> tuple[ClassParams, PowerSeries, bool]:
     """Class parameters, series, and whether the series passes the
     coefficient test; an uncertified series is refused unless
     --allow-uncertified is given, before any other work is done."""
@@ -153,14 +158,14 @@ def _certified_member(args, what: str) -> tuple[ClassParams, PowerSeries, bool]:
     certified = coefficient_test(f, params).verdict is Verdict.SUFFICIENT_PASS
     if not certified and not args.allow_uncertified:
         raise ValueError(
-            f"series fails the coefficient test, so the {what} "
+            f"series fails the coefficient test, so the {args.command} "
             "hypothesis is uncertified (use --allow-uncertified to force)"
         )
     return params, f, certified
 
 
-def _nodes(args, params: ClassParams, f: PowerSeries) -> int:
-    return default_nodes(max(f.order, params.trunc)) if args.nodes is None else args.nodes
+def _nodes(args, f: PowerSeries) -> int:
+    return default_nodes(f.order) if args.nodes is None else args.nodes
 
 
 def cmd_membership(args) -> int:
@@ -179,8 +184,8 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_integral_means(args) -> int:
-    params, f, certified = _certified_member(args, "integral-means")
-    nodes = _nodes(args, params, f)
+    params, f, certified = _certified_member(args)
+    nodes = _nodes(args, f)
     (row,) = sweep_integral_means(f, params, (args.r,), (args.eta,), nodes)
     doc = {"r": row.r, "eta": row.eta, "nodes": nodes, "lhs": row.lhs, "rhs": row.rhs}
     doc.update(margin=row.margin, certified=certified, holds=row.holds)
@@ -189,11 +194,11 @@ def cmd_integral_means(args) -> int:
 
 
 def cmd_subordination(args) -> int:
-    params, f, certified = _certified_member(args, "subordination")
+    params, f, certified = _certified_member(args)
     report = subordination_report(f, params)
     grid = SampleGrid(WILF_RADII + (0.999,), 512)
     min_re = min_real_part(f, grid)
-    doc = report.to_dict()
+    doc = asdict(report)
     doc["min_real_part"] = min_re
     doc["certified"] = certified
     _emit(doc, args.format)
@@ -254,10 +259,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    params, f, _ = _certified_member(args, "sweep")
+    params, f, _ = _certified_member(args)
     r_values = _parse_float_list(args.r_list, "--r-list")
     eta_values = _parse_float_list(args.eta_list, "--eta-list")
-    rows = sweep_integral_means(f, params, r_values, eta_values, _nodes(args, params, f))
+    rows = sweep_integral_means(f, params, r_values, eta_values, _nodes(args, f))
     if args.format == "csv":
         print(sweep_to_csv(rows), end="")
     elif args.format == "json":
@@ -268,16 +273,6 @@ def cmd_sweep(args) -> int:
     return 0 if all(row.holds for row in rows) else 1
 
 
-_COMMANDS = {
-    "membership": cmd_membership,
-    "extremal": cmd_extremal,
-    "integral-means": cmd_integral_means,
-    "subordination": cmd_subordination,
-    "limit-check": cmd_limit_check,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -285,7 +280,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

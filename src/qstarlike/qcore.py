@@ -22,8 +22,8 @@ Q_MAX = 1.0 - 1.0e-6
 
 @dataclass(frozen=True)
 class ClassParams:
-    """Parameter tuple (q, lam, alpha, k) of the starlike class, plus the
-    series truncation order shared by all series in one computation."""
+    """Parameter tuple (q, lam, alpha, k) of the starlike class, plus trunc,
+    the order of generated members; a given series keeps its own order."""
 
     q: float
     lam: float = 0.0
@@ -64,7 +64,8 @@ def kernel_coeffs(lam: float, q: float, top: int) -> np.ndarray:
 
     Each is the running product of [lam+1+j] over j < n-1 divided by the
     running product of [j+1].  Where either product overflows, the running
-    product of the ratios [lam+1+j] / [j+1] is used instead.
+    product of the ratios [lam+1+j] / [j+1] is used instead; an entry beyond
+    the double range even then comes back as +inf.
     """
     j = np.arange(top - 1, dtype=float)
     upper = basic_number((lam + 1.0) + j, q)
@@ -72,18 +73,21 @@ def kernel_coeffs(lam: float, q: float, top: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         num, den = np.cumprod(upper), np.cumprod(lower)
         kernel = num / den
-    overflow = ~(np.isfinite(num) & np.isfinite(den))
-    if overflow.any():
-        kernel[overflow] = np.cumprod(upper / lower)[overflow]
+        overflow = ~(np.isfinite(num) & np.isfinite(den))
+        if overflow.any():
+            kernel[overflow] = np.cumprod(upper / lower)[overflow]
     return kernel
 
 
 def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
     """Coefficient of z**n in the Ruscheweyh convolution kernel, n >= 2:
-    the last entry of kernel_coeffs(lam, q, n)."""
+    the last entry of kernel_coeffs(lam, q, n), a ValueError if it overflows."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return float(kernel_coeffs(lam, q, n)[-1])
+    value = float(kernel_coeffs(lam, q, n)[-1])
+    if not math.isfinite(value):
+        raise ValueError(f"kernel coefficient overflows at lambda = {lam}, q = {q}")
+    return value
 
 
 def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarray:

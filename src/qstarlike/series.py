@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .qcore import ClassParams, basic_number, kernel_coeffs
 
@@ -96,7 +95,7 @@ def poly_eval(coeffs, z):
     z may be a complex scalar or an ndarray; the result matches its shape.
     """
     arr = np.asarray(z, dtype=complex)
-    vals = npoly.polyval(arr, np.asarray(coeffs))
+    vals = np.polyval(np.asarray(coeffs)[::-1], arr)
     return complex(vals) if arr.ndim == 0 else vals
 
 

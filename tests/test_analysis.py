@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -306,7 +308,7 @@ def test_subordination_report_fields():
     assert report.realpart_bound < -1.0
     assert report.wilf_min > 0.0
     assert report.sharpness_min == pytest.approx(-0.5, abs=2e-2)
-    doc = report.to_dict()
+    doc = asdict(report)
     assert set(doc) == {"constant", "realpart_bound", "wilf_min", "sharpness_min"}
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -88,9 +89,14 @@ def test_json_output_refuses_non_finite_numbers(capsys):
 
 
 def test_unknown_flag_exits_two(capsys):
-    code = main(["membership", "--bogus", "1"])
-    capsys.readouterr()
-    assert code == 2
+    for argv in (
+        ["membership", "--bogus", "1"],
+        # only integral-means, subordination and sweep may force an uncertified series
+        ["membership", "--series", '{"sign":"minus","coeffs":[0.5]}', "--allow-uncertified"],
+    ):
+        code = main(argv)
+        assert capsys.readouterr().out == ""
+        assert code == 2
 
 
 def test_extremal_values(capsys):
@@ -260,6 +266,17 @@ def test_integral_means_default_nodes_follow_trunc(capsys):
     code, out, _ = run_cli(capsys, "integral-means", "--trunc", "64", "--format", "json")
     assert json.loads(out)["nodes"] == 256
 
+    # a given series is sized by its own order, whatever --trunc says:
+    # 256 nodes integrate an order-3 series exactly
+    series = '{"sign":"minus","coeffs":[0.1,0.05]}'
+    code, out, _ = run_cli(capsys, "integral-means", "--series", series, "--trunc", "512",
+                           "--r", "0.95", "--format", "json")
+    doc = json.loads(out)
+    assert doc["nodes"] == 256
+    coeffs = np.array([0.0, 1.0, -0.1, -0.05])
+    exact = 2.0 * np.pi * np.sum((coeffs * 0.95 ** np.arange(4)) ** 2)
+    assert doc["lhs"] == pytest.approx(exact, rel=1e-13)
+
 
 def test_subordination_report(capsys):
     code, out, _ = run_cli(
@@ -364,6 +381,45 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sign"] == "minus"
+
+
+def test_cli_import_leaves_out_numpy_polynomial():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qstarlike.cli; print('numpy.polynomial' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["membership", "--q", "0.5", "--series", '{"sign":"minus","coeffs":[0.5]}'], "1"),
+        (["membership", "--q", "0.5", "--series", '{"sign":"minus","coeffs":[0.5]}'], ""),
+        (["sweep", "--trunc", "512"], "1"),
+    ],
+)
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    # the read end is closed before the child starts, so its first write to
+    # stdout (unbuffered) or its final flush (buffered) meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qstarlike", *argv, "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def refuse_non_finite(token):

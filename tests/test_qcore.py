@@ -178,6 +178,15 @@ def test_criterion_weights_overflow_is_a_value_error():
     assert criterion_weight(2, p) == pytest.approx(0.5e308, rel=1e-15)
 
 
+def test_kernel_overflow_fallback_is_quiet_inf():
+    # both running products and the ratio product overflow near order 2000;
+    # the RuntimeWarning filter in pyproject.toml fails any leaked warning
+    kernel = kernel_coeffs(1000.0, 0.999999, 2000)
+    assert np.isfinite(kernel[0]) and np.isposinf(kernel[-1])
+    with pytest.raises(ValueError, match=r"lambda = 1000\.0, q = 0\.999999"):
+        ruscheweyh_coeff(2000, 1000.0, 0.999999)
+
+
 def test_criterion_weights_matches_scalar():
     p = ClassParams(q=0.6, lam=1.5, alpha=0.25, k=2.0, trunc=10)
     w = criterion_weights(p)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from qstarlike import (
     ClassParams,
@@ -49,6 +50,19 @@ def test_evaluate_vectorized_matches_scalar():
     assert vals.shape == (3,)
     for zi, vi in zip(z, vals):
         assert vi == poly_eval(f.full(), complex(zi))
+
+
+def test_poly_eval_is_bit_identical_to_numpy_polynomial():
+    # numpy.polynomial's polyval, kept here as the reference, runs the same
+    # Horner recurrence in the same order as numpy core's polyval; a scalar z
+    # goes in as a 0-d array, as poly_eval passes it
+    rng = np.random.default_rng(3)
+    z = rng.uniform(0.0, 1.2, 64) * np.exp(2j * np.pi * rng.random(64))
+    for order in range(1, 301):
+        coeffs = rng.uniform(-1.0, 1.0, order)
+        assert np.array_equal(poly_eval(coeffs, z), npoly.polyval(z, coeffs))
+        zi = complex(z[order % 64])
+        assert poly_eval(coeffs, zi) == complex(npoly.polyval(np.asarray(zi), coeffs))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
