@@ -3,8 +3,10 @@
 Two families of numerical verification live here.  Integral means: the
 trapezoidal circle integral of |f|^eta against the order-2 extremal member,
 which certified members must never exceed, compared in sweep_integral_means.
-Subordination: the sharp factor constant, the real-part bound it implies,
-Wilf positivity of the factor sequence, and the exact -1/2 sharpness minimum.
+Subordination: the sharp factor constant c, the real-part bound -1/(2c) it
+implies, and the exact -1/2 sharpness minimum.  Re f is sampled once, and the
+Wilf minimum of the factor sequence c a_n follows from it, since
+Re(1 + 2 sum c a_n z^n) = 1 + 2c Re f; SubordinationReport.holds is the verdict.
 
 Circle values come from series.ring_values, one real FFT per radius over the
 closed upper half ring; real coefficients make the lower half its conjugate
@@ -32,6 +34,7 @@ INTEGRAL_MEANS_SLACK = 1.0e-9
 # Default radii for Wilf positivity and real-part sweeps (the positivity
 # margin degenerates only as r -> 1, so 0.99 keeps a robust gap).
 WILF_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+_SUBORDINATION_GRID = SampleGrid(WILF_RADII + (0.999,), 512)
 
 
 @dataclass(frozen=True)
@@ -181,15 +184,17 @@ def wilf_sequence(f: PowerSeries, params: ClassParams) -> np.ndarray:
 def subordination_constant(params: ClassParams) -> float:
     """The sharp factor constant weight_2 / (2 (1 - alpha + weight_2)).
 
-    Always lies in (0, 1/2) and approaches 1/2 as alpha -> 1.
+    Lies in (0, 1/2) and approaches 1/2 as alpha -> 1 or weight_2 grows; in
+    float it rounds to 1/2 once weight_2 exceeds about 2**53 (1 - alpha).
     """
     w2 = criterion_weight(2, params)
     return w2 / (2.0 * (1.0 - params.alpha + w2))
 
 
 def realpart_bound(params: ClassParams) -> float:
-    """Lower bound -(1 - alpha + weight_2) / weight_2 for Re f on the disc,
-    valid for certified members; always < -1."""
+    """Lower bound -(1 - alpha + weight_2) / weight_2 = -1 / (2 c) for Re f on
+    the disc, valid for certified members; < -1, but in float it rounds to -1
+    once weight_2 exceeds about 2**53 (1 - alpha)."""
     w2 = criterion_weight(2, params)
     return -(1.0 - params.alpha + w2) / w2
 
@@ -222,19 +227,22 @@ class SubordinationReport:
     realpart_bound: float
     wilf_min: float
     sharpness_min: float
+    min_real_part: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.constant < 0.5:
-            raise ValueError(f"factor constant must lie in (0, 1/2), got {self.constant}")
-        if not self.realpart_bound < -1.0:
-            raise ValueError(f"real-part bound must be < -1, got {self.realpart_bound}")
+    @property
+    def holds(self) -> bool:
+        sharp = self.sharpness_min >= -0.5 - 1.0e-9
+        return self.wilf_min > 0.0 and sharp and self.min_real_part > self.realpart_bound
 
 
 def subordination_report(f: PowerSeries, params: ClassParams) -> SubordinationReport:
-    """Assemble the subordination evidence for one member."""
+    """Subordination evidence for one member, from one sampling of Re f."""
+    c = subordination_constant(params)
+    min_re = min_real_part(f, _SUBORDINATION_GRID)
     return SubordinationReport(
-        constant=subordination_constant(params),
+        constant=c,
         realpart_bound=realpart_bound(params),
-        wilf_min=wilf_positivity(wilf_sequence(f, params), SampleGrid(WILF_RADII, 64)),
+        wilf_min=1.0 + 2.0 * c * min_re,
         sharpness_min=sharpness_minimum(params, 0.9999),
+        min_real_part=min_re,
     )

@@ -79,15 +79,20 @@ def kernel_coeffs(lam: float, q: float, top: int) -> np.ndarray:
     return kernel
 
 
+def _finite_kernel(lam: float, q: float, top: int) -> np.ndarray:
+    """kernel_coeffs(lam, q, top), a ValueError if an entry overflows."""
+    kernel = kernel_coeffs(lam, q, top)
+    if not np.isfinite(kernel).all():
+        raise ValueError(f"kernel coefficient overflows at lambda = {lam}, q = {q}")
+    return kernel
+
+
 def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
     """Coefficient of z**n in the Ruscheweyh convolution kernel, n >= 2:
     the last entry of kernel_coeffs(lam, q, n), a ValueError if it overflows."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    value = float(kernel_coeffs(lam, q, n)[-1])
-    if not math.isfinite(value):
-        raise ValueError(f"kernel coefficient overflows at lambda = {lam}, q = {q}")
-    return value
+    return float(_finite_kernel(lam, q, n)[-1])
 
 
 def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ClassParams, basic_number, kernel_coeffs
+from .qcore import ClassParams, _finite_kernel, basic_number
 
 
 class Sign(enum.Enum):
@@ -135,6 +135,7 @@ def ruscheweyh(f: PowerSeries, params: ClassParams) -> PowerSeries:
     Scales each tail coefficient by the kernel coefficient [lam+1]_{n-1} /
     [n-1]! (all ones for lam = 0, the convolution identity z/(1-z)); this
     preserves the sign convention because the kernel coefficients are positive.
+    A kernel coefficient beyond the double range is a ValueError.
     """
-    weights = kernel_coeffs(params.lam, params.q, f.order)
+    weights = _finite_kernel(params.lam, params.q, f.order)
     return PowerSeries(tuple(np.asarray(f.coeffs) * weights), f.sign)

@@ -7,8 +7,10 @@ its argv, exit code and stdout.
 
 Regenerate a case only when a change means to alter its output, and record
 the diff in CHANGES.md.  ``--check`` writes nothing: it names each case whose
-exit code or stdout is no longer byte-identical and exits 1 if there is one.
-``test_golden.py`` replays the corpus to a tolerance, and remains the gate.
+exit code or stdout is no longer byte-identical, says how it moved (exit
+code, text between numbers, how many numbers moved and the largest relative
+move), and exits 1 if there is one.  ``test_golden.py`` replays the corpus to
+a tolerance with the same number tokenizer, and remains the gate.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +29,28 @@ GOLDEN = Path(__file__).resolve().parent
 
 MEMBER_05 = '{"sign":"minus","coeffs":[0.5]}'
 OVERSIZED = '{"sign":"minus","coeffs":[2.0]}'
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def split_numbers(text: str) -> tuple[list[str], list[float]]:
+    """The text between numbers, and the numbers themselves."""
+    return NUMBER.split(text), [float(tok) for tok in NUMBER.findall(text)]
+
+
+def describe_move(old: tuple[int, str], new: tuple[int, str]) -> str:
+    """How an (exit code, stdout) pair differs from its golden one."""
+    old_text, old_numbers = split_numbers(old[1])
+    new_text, new_numbers = split_numbers(new[1])
+    text = "changed" if old_text != new_text else "unchanged"
+    if len(old_numbers) != len(new_numbers):
+        numbers = f"{len(old_numbers)} -> {len(new_numbers)} numbers"
+    else:
+        moves = [abs(b - a) / abs(a) if a else math.inf
+                 for a, b in zip(old_numbers, new_numbers) if a != b]
+        numbers = (f"{len(moves)} of {len(old_numbers)} numbers moved, "
+                   f"largest relative move {max(moves, default=0.0):.2g}")
+    return f"exit {old[0]} -> {new[0]}, text {text}, {numbers}"
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -122,21 +148,23 @@ def write_cases(names: list[str]) -> None:
         print(f"{name}: exit {code}")
 
 
-def moved_cases(names: list[str]) -> list[str]:
-    """Cases whose exit code or stdout differs byte for byte from the corpus."""
+def moved_cases(names: list[str]) -> dict[str, str]:
+    """Cases whose exit code or stdout differs byte for byte from the corpus,
+    each with a description of the move."""
     table = cases()
-    moved = []
+    moved = {}
     for name in names or sorted(table):
         golden = json.loads((GOLDEN / f"{name}.json").read_text())
-        if run(table[name]) != (golden["exit_code"], golden["stdout"]):
-            moved.append(name)
+        old, new = (golden["exit_code"], golden["stdout"]), run(table[name])
+        if new != old:
+            moved[name] = describe_move(old, new)
     return moved
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--check"]:
         moved = moved_cases(sys.argv[2:])
-        for name in moved:
-            print(f"{name}: moved")
+        for name, move in moved.items():
+            print(f"{name}: {move}")
         sys.exit(1 if moved else 0)
     write_cases(sys.argv[1:])

@@ -309,7 +309,12 @@ def test_subordination_report_fields():
     assert report.wilf_min > 0.0
     assert report.sharpness_min == pytest.approx(-0.5, abs=2e-2)
     doc = asdict(report)
-    assert set(doc) == {"constant", "realpart_bound", "wilf_min", "sharpness_min"}
+    assert set(doc) == {"constant", "realpart_bound", "wilf_min", "sharpness_min", "min_real_part"}
+    # one sampling of Re f; Re(1 + 2 sum c a_n z^n) = 1 + 2c Re f gives the Wilf minimum
+    grid = SampleGrid(WILF_RADII + (0.999,), 512)
+    assert report.min_real_part == min_real_part(f, grid)
+    assert report.wilf_min == pytest.approx(wilf_positivity(wilf_sequence(f, p), grid), abs=1e-14)
+    assert report.holds
 
 
 def test_sweep_rows_and_csv():

@@ -208,6 +208,18 @@ def test_underflowing_circle_integral_is_a_usage_error(capsys, eta):
     assert "underflows" in err
 
 
+@pytest.mark.parametrize("k", ["1e17", "1e300"])
+def test_huge_finite_k_rounds_the_factor_constant_to_one_half(capsys, k):
+    # once w_2 exceeds about 2**53 (1 - alpha), c rounds to 1/2 and the
+    # real-part bound to -1; that is still a report, not a usage error
+    code, out, _ = run_cli(capsys, "subordination", "--k", k, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["constant"] == 0.5
+    assert doc["realpart_bound"] == -1.0
+    assert doc["wilf_min"] > 0
+
+
 def test_huge_k_overflowing_the_weights_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "subordination", "--k", "1e308")
     assert code == 2
@@ -291,6 +303,16 @@ def test_subordination_report(capsys):
     assert doc["wilf_min"] > 0
     assert doc["min_real_part"] > doc["realpart_bound"]
     assert doc["sharpness_min"] == pytest.approx(-0.5, abs=2e-2)
+
+    # a forced uncertified series breaks Wilf positivity: exit 1
+    code, out, _ = run_cli(
+        capsys, "subordination", "--series", '{"sign":"minus","coeffs":[2.0]}',
+        "--allow-uncertified", "--format", "json",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["wilf_min"] < 0
+    assert doc["certified"] is False
 
 
 def test_limit_check(capsys):

@@ -5,32 +5,40 @@ number in stdout must match its golden value to a relative tolerance of
 GOLDEN_RTOL (no absolute slack, so a golden 0.0 must stay 0.0), and all
 text between numbers (keys, verdicts, punctuation, layout) must match
 exactly.  Regenerate cases with tests/golden/generate.py only when a change
-means to alter them.
+means to alter them; its number tokenizer is the one used here.
 """
 
 import json
 import math
-import re
 from pathlib import Path
 
 import pytest
 
+from golden.generate import describe_move, split_numbers
 from qstarlike.cli import main
 
 GOLDEN_RTOL = 1.0e-12
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(GOLDEN.glob("*.json"))
-NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
-
-
-def split_numbers(text: str) -> tuple[list[str], list[float]]:
-    """The text between numbers, and the numbers themselves."""
-    return NUMBER.split(text), [float(tok) for tok in NUMBER.findall(text)]
 
 
 def test_corpus_is_present():
     assert len(CASES) >= 20
+
+
+def test_describe_move_on_synthetic_stdouts():
+    old = '{\n  "a": 0.25,\n  "b": -1e-3,\n  "n": 7\n}\n'
+    assert split_numbers(old) == (['{\n  "a": ', ',\n  "b": ', ',\n  "n": ', "\n}\n"],
+                                  [0.25, -1e-3, 7.0])
+    moved = '{\n  "a": 0.25,\n  "b": -1.1e-3,\n  "n": 7\n}\n'
+    assert describe_move((0, old), (1, moved)) == (
+        "exit 0 -> 1, text unchanged, 1 of 3 numbers moved, largest relative move 0.1"
+    )
+    assert describe_move((0, old), (0, old.replace('"n"', '"m"'))) == (
+        "exit 0 -> 0, text changed, 0 of 3 numbers moved, largest relative move 0"
+    )
+    assert describe_move((0, old), (0, "a: 0.25\n")).endswith("text changed, 3 -> 1 numbers")
 
 
 @pytest.mark.parametrize("path", CASES, ids=lambda p: p.stem)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qstarlike.classes import criterion_min_margin
 from qstarlike.qcore import (
     ClassParams,
     basic_number,
@@ -14,6 +15,7 @@ from qstarlike.qcore import (
     kernel_coeffs,
     ruscheweyh_coeff,
 )
+from qstarlike.series import PowerSeries, Sign
 
 NEAR_ONE = 1.0 - 1.0e-6
 
@@ -185,6 +187,10 @@ def test_kernel_overflow_fallback_is_quiet_inf():
     assert np.isfinite(kernel[0]) and np.isposinf(kernel[-1])
     with pytest.raises(ValueError, match=r"lambda = 1000\.0, q = 0\.999999"):
         ruscheweyh_coeff(2000, 1000.0, 0.999999)
+    # the Ruscheweyh transform inside the criterion refuses the same kernel
+    f = PowerSeries((0.0,) * 1999, Sign.MINUS)
+    with pytest.raises(ValueError, match=r"lambda = 1000\.0, q = 0\.999999"):
+        criterion_min_margin(f, ClassParams(q=0.999999, lam=1000.0, trunc=2000))
 
 
 def test_criterion_weights_matches_scalar():
