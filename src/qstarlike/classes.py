@@ -130,6 +130,8 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
     drawn uniform on (0, 1), then the whole tail is rescaled so the weighted
     coefficient sum equals density * (1 - alpha).  density = 1 lands exactly
     on the budget (margin 0); the same seed always returns the same series.
+    Weights so large that the scale falls below the normal float range,
+    where it loses precision, are a ValueError naming the parameters.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
@@ -143,9 +145,15 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
             mask[int(rng.integers(m))] = True
         mags = np.where(mask, rng.random(m), 0.0)
     target = density * (1.0 - params.alpha)
-    scale = target / float(np.sum(weights * mags))
+    with np.errstate(over="ignore"):
+        scale = target / float(np.sum(weights * mags))
     # back off by ulps until the recomputed sum cannot exceed the target,
     # so a density-1 draw still certifies as a PASS
-    while float(np.sum(weights * (mags * scale))) > target:
+    while scale >= np.finfo(float).tiny and float(np.sum(weights * (mags * scale))) > target:
         scale *= 1.0 - 2.0**-52
+    if scale < np.finfo(float).tiny:
+        raise ValueError(
+            f"random member coefficients underflow at k = {params.k}, "
+            f"lambda = {params.lam}, q = {params.q}: the criterion weights are too large"
+        )
     return PowerSeries(tuple(mags * scale), Sign.MINUS)

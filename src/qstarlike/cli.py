@@ -9,9 +9,9 @@ Usage:
     qstarlike limit-check
     qstarlike sweep --q 0.5 --seed 7 --format csv
 
-Series may be passed inline (--series) or from a file (--series-file) as
-{"sign": "plus"|"minus", "coeffs": [a2, a3, ...]}; commands that accept a
-series fall back to a seeded random member when none is given.
+Series may be passed inline (--series) or from a file (--series-file), not
+both, as {"sign": "plus"|"minus", "coeffs": [a2, a3, ...]}; membership needs
+one, and the other commands fall back to a seeded random member without one.
 
 Exit codes: 0 verified/pass, 1 numerical verification failure, 2 usage or
 parameter error, 141 when the reader closes stdout early.  Identical
@@ -37,13 +37,12 @@ from .analysis import (
     sweep_to_csv,
 )
 from .classes import Verdict, coefficient_test, extremal_function, random_member
-from .qcore import ClassParams, kernel_coeffs
+from .qcore import Q_MAX, ClassParams, kernel_coeffs
 from .series import PowerSeries, poly_eval, q_derivative
 
-LIMIT_Q = 1.0 - 1.0e-6
 KERNEL_LIMIT_TOL = 1.0e-3
 DERIVATIVE_LIMIT_TOL = 1.0e-4
-NODES_HELP = "quadrature nodes, a power of two >= 16 (default: max(256, 4*order) rounded up)"
+NODES_HELP = "quadrature nodes, a power of two in [16, 2^20] (default max(256, 4*order) rounded up)"
 FORCED_HELP = "proceed even if the series fails the coefficient test"
 
 
@@ -64,19 +63,20 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, *extra):
         p.add_argument("--format", choices=("human", "json", *extra), default="human")
 
-    def add_series(p, forced=False):
-        p.add_argument("--series", help="inline series JSON")
-        p.add_argument("--series-file", help="path to a series JSON file")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--density", type=float, default=0.8)
-        if forced:
+    def add_series(p, required=False):
+        source = p.add_mutually_exclusive_group(required=required)
+        source.add_argument("--series", help="inline series JSON")
+        source.add_argument("--series-file", help="path to a series JSON file")
+        if not required:
+            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--density", type=float, default=0.8)
             p.add_argument("--allow-uncertified", action="store_true", help=FORCED_HELP)
 
     p = sub.add_parser("membership", help="run the sufficient coefficient test")
     p.set_defaults(run=cmd_membership)
     add_params(p)
     add_format(p)
-    add_series(p)
+    add_series(p, required=True)
 
     p = sub.add_parser("extremal", help="emit the order-n extremal member")
     p.set_defaults(run=cmd_extremal)
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_integral_means)
     add_params(p)
     add_format(p)
-    add_series(p, forced=True)
+    add_series(p)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--nodes", type=int, default=None, help=NODES_HELP)
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_subordination)
     add_params(p)
     add_format(p)
-    add_series(p, forced=True)
+    add_series(p)
 
     p = sub.add_parser("limit-check", help="near-classical consistency checks (q -> 1)")
     p.set_defaults(run=cmd_limit_check)
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_sweep)
     add_params(p)
     add_format(p, "csv")
-    add_series(p, forced=True)
+    add_series(p)
     p.add_argument("--r-list", default="0.25,0.5,0.75,0.95")
     p.add_argument("--eta-list", default="0.5,1,2,3")
     p.add_argument("--nodes", type=int, default=None, help=NODES_HELP)
@@ -120,16 +120,12 @@ def _params(args) -> ClassParams:
     return ClassParams(q=args.q, lam=args.lam, alpha=args.alpha, k=args.k, trunc=args.trunc)
 
 
-def _load_series(args, params: ClassParams, required: bool = False) -> PowerSeries:
-    if args.series and args.series_file:
-        raise ValueError("pass either --series or --series-file, not both")
-    if args.series_file:
+def _load_series(args, params: ClassParams) -> PowerSeries:
+    if args.series_file is not None:
         text = Path(args.series_file).read_text()
-    elif args.series:
+    elif args.series is not None:
         text = args.series
     else:
-        if required:
-            raise ValueError("a series is required: pass --series or --series-file")
         return random_member(params, seed=args.seed, density=args.density)
     try:
         data = json.loads(text)
@@ -167,7 +163,7 @@ def _nodes(args, f: PowerSeries) -> int:
 
 def cmd_membership(args) -> int:
     params = _params(args)
-    f = _load_series(args, params, required=True)
+    f = _load_series(args, params)
     report = coefficient_test(f, params)
     _emit(report.to_dict(), args.format)
     return 0 if report.verdict is Verdict.SUFFICIENT_PASS else 1
@@ -199,42 +195,33 @@ def cmd_subordination(args) -> int:
     return 0 if report.holds else 1
 
 
-def _limit_check(seed: int) -> dict:
+def cmd_limit_check(args) -> int:
     worst_kernel = 0.0
     for lam in (0, 1, 2, 3):
         exact = np.array([math.comb(n + lam - 1, n - 1) for n in range(2, 13)], dtype=float)
-        approx = kernel_coeffs(float(lam), LIMIT_Q, 12)
+        approx = kernel_coeffs(float(lam), Q_MAX, 12)
         worst_kernel = max(worst_kernel, float(np.max(np.abs(approx - exact) / exact)))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     worst_deriv = 0.0
     for _ in range(20):
         n_index = np.arange(2.0, 17.0)
         coeffs = rng.uniform(-1.0, 1.0, n_index.size) / n_index**3
         f = PowerSeries(tuple(coeffs))
-        dq = q_derivative(f, LIMIT_Q)
+        dq = q_derivative(f, Q_MAX)
         classical = f.full()[1:] * np.arange(1.0, f.order + 1.0)
         z = rng.uniform(0.1, 0.6, 50) * np.exp(2j * np.pi * rng.random(50))
         ref = poly_eval(classical, z)
         rel = np.abs(poly_eval(dq, z) - ref) / np.abs(ref)
         worst_deriv = max(worst_deriv, float(np.max(rel)))
 
-    return {
+    _emit({
         "kernel_max_rel_err": worst_kernel,
         "kernel_tol": KERNEL_LIMIT_TOL,
         "q_derivative_max_rel_err": worst_deriv,
         "q_derivative_tol": DERIVATIVE_LIMIT_TOL,
-    }
-
-
-def cmd_limit_check(args) -> int:
-    doc = _limit_check(args.seed)
-    _emit(doc, args.format)
-    ok = (
-        doc["kernel_max_rel_err"] <= KERNEL_LIMIT_TOL
-        and doc["q_derivative_max_rel_err"] <= DERIVATIVE_LIMIT_TOL
-    )
-    return 0 if ok else 1
+    }, args.format)
+    return 0 if worst_kernel <= KERNEL_LIMIT_TOL and worst_deriv <= DERIVATIVE_LIMIT_TOL else 1
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -258,7 +245,7 @@ def cmd_sweep(args) -> int:
         _emit({"rows": [row._asdict() for row in rows]}, "json")
     else:
         for row in rows:
-            print(f"r={row.r} eta={row.eta} lhs={row.lhs} rhs={row.rhs} margin={row.margin}")
+            print(" ".join(f"{key}={value}" for key, value in row._asdict().items()))
     return 0 if all(row.holds for row in rows) else 1
 
 

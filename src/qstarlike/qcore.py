@@ -23,7 +23,8 @@ Q_MAX = 1.0 - 1.0e-6
 @dataclass(frozen=True)
 class ClassParams:
     """Parameter tuple (q, lam, alpha, k) of the starlike class, plus trunc,
-    the order of generated members; a given series keeps its own order."""
+    the order of generated members; a given series keeps its own order.
+    trunc is at most 2**18, so no table it sizes outgrows memory."""
 
     q: float
     lam: float = 0.0
@@ -44,8 +45,8 @@ class ClassParams:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if not math.isfinite(self.k):
             raise ValueError(f"k must be finite, got {self.k}")
-        if self.trunc < 2:
-            raise ValueError(f"trunc must be >= 2, got {self.trunc}")
+        if not 2 <= self.trunc <= 2**18:
+            raise ValueError(f"trunc must lie in [2, {2**18}], got {self.trunc}")
 
 
 def basic_number(t, q: float):
@@ -100,14 +101,15 @@ def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarr
     sufficient membership condition, for n = 2..order (default trunc).
 
     Strictly positive under the parameter domain, since
-    [n] >= 1 + q > 1 >= (k + alpha) / (1 + k); a weight that overflows,
-    as a k near the float maximum makes it, is a ValueError.
+    [n] >= 1 + q > 1 >= (k + alpha) / (1 + k).  A kernel entry that
+    overflows is the ValueError of _finite_kernel; a weight that overflows,
+    as a k near the float maximum makes it, is a ValueError naming k.
     """
     top = params.trunc if order is None else order
     bracket = basic_number(np.arange(2.0, top + 1.0), params.q)
     with np.errstate(over="ignore"):
         factor = bracket * (1.0 + params.k) - params.k - params.alpha
-        weights = factor * kernel_coeffs(params.lam, params.q, top)
+        weights = factor * _finite_kernel(params.lam, params.q, top)
     if not np.isfinite(weights).all():
         raise ValueError(f"criterion weights overflow at k = {params.k}, lambda = {params.lam}")
     return weights

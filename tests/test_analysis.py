@@ -65,6 +65,9 @@ def test_quadrature_config_validation():
         QuadratureConfig(eta=0.0)
     with pytest.raises(ValueError, match="^eta must be finite"):
         QuadratureConfig(eta=np.inf)
+    QuadratureConfig(nodes=2**20)
+    with pytest.raises(ValueError, match=r"^nodes must be a power of two in \[16, 1048576\]"):
+        QuadratureConfig(nodes=2**21)
 
 
 def test_default_nodes():
@@ -315,6 +318,40 @@ def test_subordination_report_fields():
     assert report.min_real_part == min_real_part(f, grid)
     assert report.wilf_min == pytest.approx(wilf_positivity(wilf_sequence(f, p), grid), abs=1e-14)
     assert report.holds
+
+
+def test_subordination_verdict_is_the_real_part_bound():
+    # wilf_min = 1 + 2c min_real_part and realpart_bound = -1/(2c) with c > 0,
+    # so wilf_min > 0 is the inequality holds states, and the closed-form
+    # sharpness minimum stays above -1/2 for every r < 1
+    rng = np.random.default_rng(2024)
+    outcomes, reports = set(), 0
+    for i in range(400):
+        p = ClassParams(
+            q=float(rng.uniform(1e-6, 1.0 - 1e-6)),
+            lam=float(rng.uniform(-0.999, 49.0)),
+            alpha=float(rng.uniform(0.0, 0.999)),
+            k=float((0.0, rng.uniform(0.0, 5.0), 1e17, 1e300)[i % 4]),
+            trunc=int(rng.integers(4, 65)),
+        )
+        try:
+            if i % 3 == 0:
+                f = random_member(p, seed=i, density=float(rng.uniform(0.05, 1.0)))
+            elif i % 3 == 1:
+                f = extremal_function(int(rng.integers(2, p.trunc + 1)), p)
+            else:  # forced uncertified series, mostly far over budget
+                scale = 10.0 ** rng.uniform(-1.0, 1.0)
+                f = PowerSeries(tuple(scale * rng.random(p.trunc - 1)), Sign.MINUS)
+            report = subordination_report(f, p)
+        except ValueError:  # weights beyond the float range at k = 1e300
+            continue
+        assert report.holds == (report.min_real_part > report.realpart_bound)
+        assert report.holds == (report.wilf_min > 0.0)
+        assert -0.5 < report.sharpness_min
+        outcomes.add(report.holds)
+        reports += 1
+    assert reports >= 300
+    assert outcomes == {True, False}
 
 
 def test_sweep_rows_and_csv():

@@ -67,6 +67,11 @@ def test_invalid_series_json_exits_two(capsys):
     )
     assert code == 2
     assert "series" in err
+    # an empty --series is a given series, not a request for a random member
+    for command in ("integral-means", "subordination", "sweep"):
+        code, out, err = run_cli(capsys, command, "--series", "", "--format", "json")
+        assert (code, out) == (2, ""), command
+        assert "invalid series JSON" in err, command
 
 
 def test_overflowing_series_exits_two_without_json(capsys):
@@ -91,8 +96,11 @@ def test_json_output_refuses_non_finite_numbers(capsys):
 def test_unknown_flag_exits_two(capsys):
     for argv in (
         ["membership", "--bogus", "1"],
-        # only integral-means, subordination and sweep may force an uncertified series
+        # only integral-means, subordination and sweep generate or force a
+        # member, so only they take --seed, --density and --allow-uncertified
         ["membership", "--series", '{"sign":"minus","coeffs":[0.5]}', "--allow-uncertified"],
+        ["membership", "--seed", "3", "--series", '{"sign":"minus","coeffs":[0.5]}'],
+        ["membership", "--density", "0.5", "--series", '{"sign":"minus","coeffs":[0.5]}'],
     ):
         code = main(argv)
         assert capsys.readouterr().out == ""
@@ -218,6 +226,43 @@ def test_huge_finite_k_rounds_the_factor_constant_to_one_half(capsys, k):
     assert doc["constant"] == 0.5
     assert doc["realpart_bound"] == -1.0
     assert doc["wilf_min"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the scale of the random member is subnormal, where backing it off
+        # by a factor 1 - 2**-52 leaves it unchanged
+        ["--lambda", "6", "--trunc", "43", "--density", "0.5", "--seed", "1"],
+        # the weighted sum overflows, so the scale would be 0 and the member zero
+        ["--lambda", "5", "--trunc", "64"],
+    ],
+)
+def test_random_member_beyond_the_normal_float_range_is_a_usage_error(argv):
+    # a subprocess with a timeout, so a hang fails this test instead of the suite
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qstarlike", "subordination",
+         "--q", "0.99", "--k", "1e300", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "underflow at k = 1e+300" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["subordination", "--trunc", "262145"], "trunc"),
+        (["integral-means", "--nodes", "2097152"], "nodes"),
+        (["sweep", "--nodes", "2097152"], "nodes"),
+    ],
+)
+def test_sizes_above_their_ceilings_are_usage_errors(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: {name} must" in err
 
 
 def test_huge_k_overflowing_the_weights_is_a_usage_error(capsys):

@@ -4,9 +4,9 @@ The public names are the ones the acceptance suite, the README, the CLI and
 the benchmark harness in bench/ reach through ``qstarlike.``, plus ``Sign``
 (the type of ``PowerSeries.sign``).  A module that imports a name it never
 uses fails here, since no linter runs in the test suite, and so does a
-module-level function or class, or a method or property of such a class,
-that nothing in the package refers to: a name only its own unit test uses
-has no place in the package.
+module-level function, class or constant, or a method or property of such a
+class, that nothing in the package refers to: a name only its own unit test
+uses has no place in the package.
 """
 
 import ast
@@ -105,11 +105,13 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def dead_names(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes, and the non-dunder methods and
+    """Module-level functions, classes and non-dunder constants (the Name
+    targets of an Assign or AnnAssign), and the non-dunder methods and
     properties of those classes, that no code in the given modules refers to
-    outside their own definition, by a Name, an Attribute or an import alias;
-    sources maps module names to their text.  Matching is by name alone: a
-    method counts as used wherever any attribute of the same name is read."""
+    outside their own definition, by a Name it reads, an Attribute or an
+    import alias; sources maps module names to their text.  Matching is by
+    name alone: a method counts as used wherever any attribute of the same
+    name is read."""
     defined, refs = [], set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
@@ -117,6 +119,10 @@ def dead_names(sources: dict[str, str]) -> list[str]:
             if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
                 defined.append((module, stmt.name, stmt.name))
                 units = [(stmt.name, stmt)]
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                defined.extend((module, n, n) for n in names if not n.startswith("__"))
             if isinstance(stmt, ast.ClassDef):
                 methods = [
                     node
@@ -129,7 +135,7 @@ def dead_names(sources: dict[str, str]) -> list[str]:
                 defined.extend((module, f"{stmt.name}.{m.name}", m.name) for m in methods)
             for own, unit in units:
                 for node in ast.walk(unit):
-                    if isinstance(node, ast.Name):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                         refs.add((own, node.id))
                     elif isinstance(node, ast.Attribute):
                         refs.add((own, node.attr))
@@ -140,10 +146,27 @@ def dead_names(sources: dict[str, str]) -> list[str]:
 
 
 def test_dead_name_check_detects_dead_function():
-    source = "def used():\n    pass\n\n\ndef dead():\n    return dead()\n\n\nx = used()\n"
+    source = "def used():\n    pass\n\n\ndef dead():\n    return dead()\n\n\nused()\n"
     assert dead_names({"m": source}) == ["m.dead"]
     assert dead_names({"a": "class C:\n    pass\n", "b": "from .a import C\n"}) == []
     assert dead_names({"a": "def f():\n    pass\n", "b": "import a\na.f()\n"}) == []
+
+
+def test_dead_name_check_detects_dead_constant():
+    # a constant that nothing reads, as a leftover LIMIT_Q beside a Q_MAX would be
+    source = (
+        "__all__ = []\n"
+        "LIMIT_Q = 1.0 - 1.0e-6\n"
+        "TOL: float = 1.0e-3\n"
+        "SLACK: float = 1.0e-9\n"
+        "WIDTH = 2 * TOL\n\n\n"
+        "def check(x):\n"
+        "    limit = WIDTH\n"
+        "    return x <= limit\n\n\n"
+        "check(0.0)\n"
+    )
+    assert dead_names({"m": source}) == ["m.LIMIT_Q", "m.SLACK"]
+    assert dead_names({"a": "Q_MAX = 1.0\n", "b": "from .a import Q_MAX\n"}) == []
 
 
 def test_dead_name_check_detects_dead_method():
@@ -159,7 +182,7 @@ def test_dead_name_check_detects_dead_method():
         "    def size(self):\n"
         "        return 1\n"
     )
-    assert dead_names({"m": source, "n": "from .m import C\nx = C().size\n"}) == ["m.C.dead"]
+    assert dead_names({"m": source, "n": "from .m import C\nprint(C().size)\n"}) == ["m.C.dead"]
     assert dead_names({"m": source}) == ["m.C", "m.C.dead", "m.C.size"]
 
 

@@ -178,6 +178,10 @@ def test_criterion_weights_overflow_is_a_value_error():
     with pytest.raises(ValueError, match=r"overflow at k = 1e\+308"):
         criterion_weights(p)
     assert criterion_weight(2, p) == pytest.approx(0.5e308, rel=1e-15)
+    # an overflow reached through the kernel names lambda and q, not k
+    message = r"^kernel coefficient overflows at lambda = 1000\.0, q = 0\.999999$"
+    with pytest.raises(ValueError, match=message):
+        criterion_weights(ClassParams(q=0.999999, lam=1000.0, trunc=2000))
 
 
 def test_kernel_overflow_fallback_is_quiet_inf():
@@ -300,6 +304,7 @@ def test_weights_finite_where_kernel_products_overflow(q, lam, trunc):
         {"q": 0.5, "lam": math.nan},
         {"q": 0.5, "k": math.inf},
         {"q": 0.5, "k": math.nan},
+        {"q": 0.5, "trunc": 2**18 + 1},
     ],
 )
 def test_params_validation(kwargs):
@@ -308,6 +313,7 @@ def test_params_validation(kwargs):
 
 
 def test_params_accepts_limit_q():
-    # both validation endpoints are usable
+    # the validation endpoints of q and the trunc ceiling are usable
     ClassParams(q=1.0e-6)
     ClassParams(q=NEAR_ONE)
+    ClassParams(q=0.5, trunc=2**18)
