@@ -104,18 +104,21 @@ def sweep_integral_means(
     nodes: int,
 ) -> list[SweepRow]:
     """Integral-means comparison over an (r, eta) grid; nodes is required and
-    margin = rhs - lhs.  |f| and |f_2| are evaluated once for all radii and
-    shared by every eta."""
+    margin = rhs - lhs.  |f| and |f_2| come from one ring_values call for all
+    radii, zero-padded to a common order, and each eta integrates both in
+    one pass."""
     radii = [QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values]
     etas = [QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values]
-    mod = np.abs(ring_values(f.full(), radii, nodes))
-    mod2 = np.abs(ring_values(extremal_function(2, params).full(), radii, nodes))
-    lhs = [_circle_integral(mod, eta).tolist() for eta in etas]
-    rhs = [_circle_integral(mod2, eta).tolist() for eta in etas]
+    pair = (f.full(), extremal_function(2, params).full())
+    stacked = np.zeros((2, max(c.size for c in pair)))
+    for row, c in zip(stacked, pair):
+        row[: c.size] = c
+    mods = np.abs(ring_values(stacked, radii, nodes))
+    sides = [_circle_integral(mods, eta).tolist() for eta in etas]
     return [
-        SweepRow(r, eta, lhs[j][i], rhs[j][i], rhs[j][i] - lhs[j][i])
+        SweepRow(r, eta, lhs[i], rhs[i], rhs[i] - lhs[i])
         for i, r in enumerate(radii)
-        for j, eta in enumerate(etas)
+        for (lhs, rhs), eta in zip(sides, etas)
     ]
 
 

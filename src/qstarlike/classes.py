@@ -97,9 +97,9 @@ def extremal_function(n: int, params: ClassParams) -> PowerSeries:
     a = budget / weight
     while weight * a > budget:
         a = math.nextafter(a, 0.0)
-    coeffs = [0.0] * (params.trunc - 1)
+    coeffs = np.zeros(params.trunc - 1)
     coeffs[n - 2] = a
-    return PowerSeries(tuple(coeffs), Sign.MINUS)
+    return PowerSeries(coeffs, Sign.MINUS)
 
 
 def criterion_min_margin(
@@ -114,12 +114,13 @@ def criterion_min_margin(
     result does not depend on evaluation order.
     """
     g = ruscheweyh(f, params)
-    den = grid.values(g.full())
+    z_dq = np.concatenate(([0.0], q_derivative(g, params.q)))
+    den, num = grid.values(np.stack((g.full(), z_dq)))
     if np.min(np.abs(den)) < DEGENERATE_TOL:
         raise DegenerateDenominatorError(
             "Ruscheweyh transform vanishes at a sample point"
         )
-    w = grid.values(np.concatenate(([0.0], q_derivative(g, params.q)))) / den
+    w = num / den
     return float(np.min(w.real - params.alpha - params.k * np.abs(w - 1.0)))
 
 
@@ -156,4 +157,4 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
             f"random member coefficients underflow at k = {params.k}, "
             f"lambda = {params.lam}, q = {params.q}: the criterion weights are too large"
         )
-    return PowerSeries(tuple(mags * scale), Sign.MINUS)
+    return PowerSeries(mags * scale, Sign.MINUS)

@@ -96,6 +96,10 @@ def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
     return float(_finite_kernel(lam, q, n)[-1])
 
 
+def _weights_overflow(params: ClassParams) -> ValueError:
+    return ValueError(f"criterion weights overflow at k = {params.k}, lambda = {params.lam}")
+
+
 def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarray:
     """Weights ([n](1+k) - k - alpha) * kernel_n multiplying |a_n| in the
     sufficient membership condition, for n = 2..order (default trunc).
@@ -111,13 +115,22 @@ def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarr
         factor = bracket * (1.0 + params.k) - params.k - params.alpha
         weights = factor * _finite_kernel(params.lam, params.q, top)
     if not np.isfinite(weights).all():
-        raise ValueError(f"criterion weights overflow at k = {params.k}, lambda = {params.lam}")
+        raise _weights_overflow(params)
     return weights
 
 
 def criterion_weight(n: int, params: ClassParams) -> float:
     """Weight of |a_n| in the membership condition, n >= 2: the last entry
-    of criterion_weights(params, order=n)."""
+    of criterion_weights(params, order=n).  w_2 is the closed form
+    ([2](1+k) - k - alpha) [lam+1], bit-identical to the table entry: both
+    brackets come from one basic_number call and the kernel's divisor is
+    [1] = 1.  An overflow is the table's ValueError."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return float(criterion_weights(params, order=n)[-1])
+    if n > 2:
+        return float(criterion_weights(params, order=n)[-1])
+    two, kernel = basic_number(np.array([2.0, params.lam + 1.0]), params.q).tolist()
+    weight = (two * (1.0 + params.k) - params.k - params.alpha) * kernel
+    if not math.isfinite(weight):
+        raise _weights_overflow(params)
+    return weight

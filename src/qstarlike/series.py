@@ -32,18 +32,35 @@ class Sign(enum.Enum):
 
 @dataclass(frozen=True)
 class PowerSeries:
+    """coeffs is a tuple of Python floats; equality and hashing read it and
+    sign alone.  The series also keeps a read-only copy of the validated
+    float array, which tail() and full() read.  The order is at most 2**18,
+    the trunc ceiling, so no table or ring a series sizes outgrows memory."""
+
     coeffs: tuple[float, ...]
     sign: Sign = Sign.PLUS
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=float)
+        try:
+            arr = np.array(self.coeffs, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("series coefficients must be finite") from None
         if arr.ndim != 1:
             raise TypeError("series coefficients must be a flat sequence of numbers")
+        if arr.size + 1 > 2**18:
+            raise ValueError(f"series order must be at most {2**18}, got {arr.size + 1}")
         if not np.isfinite(arr).all():
             raise ValueError("series coefficients must be finite")
         if self.sign is Sign.MINUS and (arr < 0.0).any():
             raise ValueError("MINUS-convention series needs nonnegative coefficients")
+        arr.flags.writeable = False
         object.__setattr__(self, "coeffs", tuple(arr.tolist()))
+        object.__setattr__(self, "_array", arr)
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __post_init__, so the copy's
+        # array is read-only as well
+        return PowerSeries, (self.coeffs, self.sign)
 
     @property
     def order(self) -> int:
@@ -51,9 +68,8 @@ class PowerSeries:
         return len(self.coeffs) + 1
 
     def tail(self) -> np.ndarray:
-        """Signed coefficients (c_2, ..., c_N)."""
-        t = np.asarray(self.coeffs, dtype=float)
-        return -t if self.sign is Sign.MINUS else t
+        """Signed coefficients (c_2, ..., c_N); read-only for a PLUS series."""
+        return -self._array if self.sign is Sign.MINUS else self._array
 
     def full(self) -> np.ndarray:
         """Ascending polynomial coefficients (0, 1, c_2, ..., c_N)."""
@@ -64,7 +80,13 @@ class PowerSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PowerSeries":
-        return cls(tuple(data["coeffs"]), Sign(data["sign"]))
+        """The inverse of to_dict.  A coefficient that is not an int or a
+        float (a string, a bool, null) is a TypeError naming the entry."""
+        coeffs = tuple(data["coeffs"])
+        for i, c in enumerate(coeffs):
+            if isinstance(c, bool) or not isinstance(c, (int, float)):
+                raise TypeError(f"coeffs[{i}] must be a number, got {c!r}")
+        return cls(coeffs, Sign(data["sign"]))
 
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -84,8 +106,9 @@ class SampleGrid:
             raise ValueError("n_angles must be positive")
 
     def values(self, coeffs) -> np.ndarray:
-        """Values of a real ascending coefficient sequence from one ring_values
-        call: one row per grid radius, the closed upper half of its ring."""
+        """Values of a real ascending coefficient sequence, or a stack of
+        them, from one ring_values call: one row per grid radius, the closed
+        upper half of its ring."""
         return ring_values(coeffs, self.radii, self.n_angles)
 
 
@@ -100,19 +123,24 @@ def poly_eval(coeffs, z):
 
 
 def ring_values(coeffs, r, nodes: int) -> np.ndarray:
-    """Values of a real ascending coefficient sequence on the closed upper half
+    """Values of real ascending coefficient sequences on the closed upper half
     ring z_j = r e^{2 pi i j / nodes}, j = 0..nodes//2, for 0 <= r < 1; the
-    lower half holds their conjugates.  The shape is (nodes//2 + 1,), or
-    (len(r), nodes//2 + 1) for a 1-D sequence of radii.  c_n r^n is added into
-    bin n mod nodes, exact at the nodes-th roots of unity, so any order is
-    accepted; one real FFT per radius of the bins gives the conjugate values."""
+    lower half holds their conjugates.  coeffs is one sequence or a stack of
+    them, shape (..., order), and r a radius or a 1-D sequence of radii; the
+    shape is coeffs.shape[:-1] + r.shape + (nodes//2 + 1,), and each row is
+    bit-identical to its own single-sequence, single-radius call.  c_n r^n
+    is added into bin n mod nodes, exact at the nodes-th roots of unity, so
+    any order is accepted; one real FFT per row of the bins gives the
+    conjugate values."""
     radii = np.asarray(r, dtype=float)
     if not (nodes >= 1 and radii.ndim <= 1 and np.all((0.0 <= radii) & (radii < 1.0))):
         raise ValueError(f"a ring needs 0 <= r < 1 and nodes >= 1, got r={r}, nodes={nodes}")
     c = np.asarray(coeffs, dtype=float)
-    scaled = c * radii[..., None] ** np.arange(c.size)
-    for start in range(nodes, c.size, nodes):
-        scaled[..., : min(nodes, c.size - start)] += scaled[..., start : start + nodes]
+    order = c.shape[-1]
+    scaled = c[..., None, :] if radii.ndim else c
+    scaled = scaled * radii[..., None] ** np.arange(order)
+    for start in range(nodes, order, nodes):
+        scaled[..., : min(nodes, order - start)] += scaled[..., start : start + nodes]
     values = np.fft.rfft(scaled, n=nodes)
     return np.conj(values, out=values)
 
@@ -138,4 +166,4 @@ def ruscheweyh(f: PowerSeries, params: ClassParams) -> PowerSeries:
     A kernel coefficient beyond the double range is a ValueError.
     """
     weights = _finite_kernel(params.lam, params.q, f.order)
-    return PowerSeries(tuple(np.asarray(f.coeffs) * weights), f.sign)
+    return PowerSeries(f._array * weights, f.sign)

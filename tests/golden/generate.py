@@ -114,6 +114,8 @@ def cases() -> dict[str, list[str]]:
                                   '{"sign":"plus","coeffs":[0.1,Infinity]}', "--format", "json"],
         "error_series_overflow": ["membership", "--series",
                                   '{"sign":"plus","coeffs":[1e308,1e308]}', "--format", "json"],
+        "error_series_not_number": ["membership", "--series",
+                                    '{"sign":"minus","coeffs":["0.25",false]}'],
         "error_integral_means_overflow": ["integral-means", "--series",
                                           '{"sign":"plus","coeffs":[1e200]}',
                                           "--allow-uncertified"],

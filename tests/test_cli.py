@@ -265,6 +265,33 @@ def test_sizes_above_their_ceilings_are_usage_errors(capsys, argv, name):
     assert f"error: {name} must" in err
 
 
+@pytest.mark.parametrize("command", ["membership", "integral-means", "subordination", "sweep"])
+def test_series_beyond_the_trunc_ceiling_is_a_usage_error(capsys, tmp_path, command):
+    # a given series is capped where it is built, so the error names its
+    # order, not a --nodes that was never passed
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"sign": "minus", "coeffs": [0.0] * 300000}))
+    code, out, err = run_cli(capsys, command, "--series-file", str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == "error: series order must be at most 262144, got 300001\n"
+
+
+def test_non_number_coefficient_is_a_usage_error(capsys):
+    # a JSON string, bool or null is refused by name, not coerced by numpy
+    for coeffs, entry in (('["0.25", false]', "coeffs[0]"), ("[0.25, false]", "coeffs[1]"),
+                          ("[0.25, null]", "coeffs[1]")):
+        series = '{"sign":"minus","coeffs":%s}' % coeffs
+        code, out, err = run_cli(capsys, "membership", "--series", series)
+        assert (code, out) == (2, "")
+        assert f"invalid series JSON: {entry} must be a number" in err
+    # a JSON integer beyond the float range is not finite, not a traceback
+    huge = '{"sign":"plus","coeffs":[1%s]}' % ("0" * 400)
+    code, out, err = run_cli(capsys, "membership", "--series", huge)
+    assert (code, out, err) == (2, "", "error: series coefficients must be finite\n")
+    code, out, _ = run_cli(capsys, "membership", "--series", '{"sign":"minus","coeffs":[0, 1]}')
+    assert code == 1 and "per_term: [[2, " in out
+
+
 def test_huge_k_overflowing_the_weights_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "subordination", "--k", "1e308")
     assert code == 2

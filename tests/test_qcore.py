@@ -317,3 +317,34 @@ def test_params_accepts_limit_q():
     ClassParams(q=1.0e-6)
     ClassParams(q=NEAR_ONE)
     ClassParams(q=0.5, trunc=2**18)
+
+
+def test_order_two_weight_is_bit_identical_to_the_table():
+    # criterion_weight(2, p) is a closed form; it must equal the first table
+    # entry exactly, over the documented domain: q log-uniform near 0,
+    # uniform, or log-uniform near 1, lam + 1 log-spaced from 1e-3 to 1001,
+    # alpha up to 0.999 and k zero or log-uniform up to 1e300
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        edge = int(rng.integers(3))
+        if edge == 0:
+            q = 10.0 ** rng.uniform(-6.0, -1.0)
+        elif edge == 1:
+            q = rng.uniform(1.0e-6, NEAR_ONE)
+        else:
+            q = 1.0 - 10.0 ** rng.uniform(-6.0, -1.0)
+        k = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 300.0)
+        p = ClassParams(
+            q=float(q),
+            lam=float(-1.0 + 10.0 ** rng.uniform(-3.0, math.log10(1001.0))),
+            alpha=float(rng.uniform(0.0, 0.999)),
+            k=float(k),
+        )
+        assert criterion_weight(2, p) == criterion_weights(p, order=2)[0], p
+    # an order-2 weight that overflows is the table's ValueError, word for word
+    p = ClassParams(q=0.9, k=1e308)
+    with pytest.raises(ValueError) as closed:
+        criterion_weight(2, p)
+    with pytest.raises(ValueError) as table:
+        criterion_weights(p, order=2)
+    assert str(closed.value) == str(table.value) == "criterion weights overflow at k = 1e+308, lambda = 0.0"

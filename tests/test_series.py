@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import mpmath
 import numpy as np
 import pytest
@@ -334,3 +337,60 @@ def test_ring_values_parseval_is_exact_without_folding():
         vals = full_ring(ring_values(coeffs, r, nodes), nodes)
         approx = 2.0 * np.pi * np.sum(np.abs(vals) ** 2) / nodes
         assert approx == pytest.approx(exact, rel=1e-13)
+
+
+def test_series_keeps_its_own_read_only_array():
+    # the series copies its input: mutating the source afterwards changes
+    # neither the tuple nor the kept array, and equality and hashing still
+    # read the tuple and the sign alone
+    source = np.array([0.5, 0.25, 0.0])
+    f = PowerSeries(source, Sign.MINUS)
+    source[:] = 9.0
+    assert f.coeffs == (0.5, 0.25, 0.0)
+    np.testing.assert_array_equal(f.tail(), [-0.5, -0.25, -0.0])
+    np.testing.assert_array_equal(f.full(), [0.0, 1.0, -0.5, -0.25, -0.0])
+    g = PowerSeries((0.5, 0.25, 0.0), Sign.MINUS)
+    assert f == g and hash(f) == hash(g)
+    # a PLUS tail is the kept array itself, so writing into it raises; a
+    # MINUS tail is a fresh negation, and writing into it leaves f alone
+    plus = PowerSeries((0.5, -0.25))
+    with pytest.raises(ValueError, match="read-only"):
+        plus.tail()[0] = 1.0
+    f.tail()[0] = 7.0
+    assert f.coeffs[0] == 0.5 and f.full()[2] == -0.5
+    assert plus.tail().tolist() == [0.5, -0.25]
+    # a pickled or deep-copied series is an equal value with its own
+    # read-only array
+    for copied in (pickle.loads(pickle.dumps(plus)), copy.deepcopy(plus)):
+        assert copied == plus
+        with pytest.raises(ValueError, match="read-only"):
+            copied.tail()[0] = 1.0
+
+
+def test_series_order_is_capped_at_the_trunc_ceiling():
+    assert PowerSeries((0.0,) * (2**18 - 1)).order == 2**18
+    with pytest.raises(ValueError, match=r"^series order must be at most 262144, got 262145$"):
+        PowerSeries((0.0,) * 2**18, Sign.MINUS)
+
+
+@pytest.mark.parametrize(
+    "entry", ["0.25", False, True, None, [0.5], {"a": 1}], ids=repr
+)
+def test_series_from_dict_takes_only_json_numbers(entry):
+    assert PowerSeries.from_dict({"sign": "minus", "coeffs": [1, 0.5]}).coeffs == (1.0, 0.5)
+    with pytest.raises(TypeError, match=r"^coeffs\[1\] must be a number, got "):
+        PowerSeries.from_dict({"sign": "minus", "coeffs": [0.25, entry]})
+
+
+@pytest.mark.parametrize("size, nodes", [(12, 64), (300, 64), (40, 7), (1025, 256)])
+def test_ring_values_stacked_rows_equal_single_row_calls(size, nodes):
+    # a (2, order) stack gives, row by row, exactly the single-series call,
+    # for a scalar radius and for a list of radii; 300 and 1025 are orders
+    # above the node count, which fold
+    rng = np.random.default_rng(size + nodes)
+    stack = rng.uniform(-1.0, 1.0, (2, size))
+    for r in (0.9, [0.0, 0.3, 0.9999]):
+        batch = ring_values(stack, r, nodes)
+        assert batch.shape == (2, *np.shape(r), nodes // 2 + 1)
+        for row, coeffs in zip(batch, stack):
+            np.testing.assert_array_equal(row, ring_values(coeffs, r, nodes))
