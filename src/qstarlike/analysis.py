@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .classes import Verdict, coefficient_test, extremal_function
+from .classes import Verdict, _extremal_coeff, coefficient_test
 from .qcore import ClassParams, criterion_weight
 from .series import PowerSeries, SampleGrid, Sign, ring_values
 
@@ -104,15 +104,15 @@ def sweep_integral_means(
     nodes: int,
 ) -> list[SweepRow]:
     """Integral-means comparison over an (r, eta) grid; nodes is required and
-    margin = rhs - lhs.  |f| and |f_2| come from one ring_values call for all
-    radii, zero-padded to a common order, and each eta integrates both in
-    one pass."""
+    margin = rhs - lhs.  f_2 enters in closed form, (0, 1, -a) with the
+    coefficient of extremal_function(2); |f| and |f_2| come from one
+    ring_values call for all radii, zero-padded to a common order, and each
+    eta integrates both in one pass."""
     radii = [QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values]
     etas = [QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values]
-    pair = (f.full(), extremal_function(2, params).full())
-    stacked = np.zeros((2, max(c.size for c in pair)))
-    for row, c in zip(stacked, pair):
-        row[: c.size] = c
+    stacked = np.zeros((2, max(f.order + 1, 3)))
+    stacked[0, : f.order + 1] = f.full()
+    stacked[1, :3] = (0.0, 1.0, -_extremal_coeff(2, params))
     mods = np.abs(ring_values(stacked, radii, nodes))
     sides = [_circle_integral(mods, eta).tolist() for eta in etas]
     return [

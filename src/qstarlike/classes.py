@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,14 +45,22 @@ class MembershipReport:
 
     coefficient_sum is sum of weight_n * |a_n|, budget is 1 - alpha, and
     margin = budget - coefficient_sum; the verdict passes iff margin >= 0.
-    per_term lists (n, weight_n, contribution_n) for inspection.
+    The report keeps the weight and contribution arrays, outside equality
+    and hashing, and per_term lists (n, weight_n, contribution_n) from them
+    on first read, for inspection.
     """
 
     coefficient_sum: float
     budget: float
     margin: float
-    per_term: tuple[tuple[int, float, float], ...]
     verdict: Verdict
+    _weights: np.ndarray = field(repr=False, compare=False)
+    _contributions: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def per_term(self) -> tuple[tuple[int, float, float], ...]:
+        n = range(2, self._weights.size + 2)
+        return tuple(zip(n, self._weights.tolist(), self._contributions.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -77,28 +86,33 @@ def coefficient_test(f: PowerSeries, params: ClassParams) -> MembershipReport:
         raise ValueError("the weighted coefficient sum overflows; coefficients are too large")
     budget = 1.0 - params.alpha
     margin = budget - total
-    per_term = tuple(zip(range(2, f.order + 1), weights.tolist(), contributions.tolist()))
     verdict = Verdict.SUFFICIENT_PASS if margin >= 0.0 else Verdict.SUFFICIENT_FAIL
-    return MembershipReport(total, budget, margin, per_term, verdict)
+    return MembershipReport(total, budget, margin, verdict, weights, contributions)
 
 
-def extremal_function(n: int, params: ClassParams) -> PowerSeries:
-    """The member z - (1 - alpha) / weight_n * z^n saturating the test.
-
-    Its coefficient test margin is zero (to an ulp), which is what makes the
-    coefficient bound sharp.  The coefficient is nudged down by at most a few
-    ulps so the recomputed margin never rounds negative and the member always
-    tests as a PASS.
-    """
-    if not 2 <= n <= params.trunc:
-        raise ValueError(f"n must lie in [2, trunc={params.trunc}], got {n}")
+def _extremal_coeff(n: int, params: ClassParams) -> float:
+    """(1 - alpha) / weight_n, nudged down by at most a few ulps so the
+    recomputed margin never rounds negative."""
     budget = 1.0 - params.alpha
     weight = criterion_weight(n, params)
     a = budget / weight
     while weight * a > budget:
         a = math.nextafter(a, 0.0)
+    return a
+
+
+def extremal_function(n: int, params: ClassParams) -> PowerSeries:
+    """The member z - (1 - alpha) / weight_n * z^n saturating the test, of
+    order trunc.
+
+    Its coefficient test margin is zero (to an ulp), which is what makes the
+    coefficient bound sharp; the nudged coefficient of _extremal_coeff keeps
+    the member a PASS.
+    """
+    if not 2 <= n <= params.trunc:
+        raise ValueError(f"n must lie in [2, trunc={params.trunc}], got {n}")
     coeffs = np.zeros(params.trunc - 1)
-    coeffs[n - 2] = a
+    coeffs[n - 2] = _extremal_coeff(n, params)
     return PowerSeries(coeffs, Sign.MINUS)
 
 
@@ -132,10 +146,13 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
     coefficient sum equals density * (1 - alpha).  density = 1 lands exactly
     on the budget (margin 0); the same seed always returns the same series.
     Weights so large that the scale falls below the normal float range,
-    where it loses precision, are a ValueError naming the parameters.
+    where it loses precision, are a ValueError naming the parameters, and so
+    is a negative seed.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     m = params.trunc - 1
     weights = criterion_weights(params)

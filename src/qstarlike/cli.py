@@ -238,11 +238,12 @@ def cmd_sweep(args) -> int:
     params, f, _ = _certified_member(args)
     r_values = _parse_float_list(args.r_list, "--r-list")
     eta_values = _parse_float_list(args.eta_list, "--eta-list")
-    rows = sweep_integral_means(f, params, r_values, eta_values, _nodes(args, f))
+    nodes = _nodes(args, f)
+    rows = sweep_integral_means(f, params, r_values, eta_values, nodes)
     if args.format == "csv":
         print(sweep_to_csv(rows), end="")
     elif args.format == "json":
-        _emit({"rows": [row._asdict() for row in rows]}, "json")
+        _emit({"nodes": nodes, "rows": [row._asdict() for row in rows]}, "json")
     else:
         for row in rows:
             print(" ".join(f"{key}={value}" for key, value in row._asdict().items()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,12 @@ Q_MAX = 1.0 - 1.0e-6
 class ClassParams:
     """Parameter tuple (q, lam, alpha, k) of the starlike class, plus trunc,
     the order of generated members; a given series keeps its own order.
-    trunc is at most 2**18, so no table it sizes outgrows memory."""
+    trunc is at most 2**18, so no table it sizes outgrows memory.
+
+    The kernel and the raw weight table for n = 2..trunc are built on first
+    use, once per object, and kept read-only in the instance dict, outside
+    the fields: equality, hashing and dataclasses.replace ignore them, and a
+    pickled or copied object carries none and rebuilds its own."""
 
     q: float
     lam: float = 0.0
@@ -47,6 +53,21 @@ class ClassParams:
             raise ValueError(f"k must be finite, got {self.k}")
         if not 2 <= self.trunc <= 2**18:
             raise ValueError(f"trunc must lie in [2, {2**18}], got {self.trunc}")
+
+    def __reduce__(self):
+        return ClassParams, (self.q, self.lam, self.alpha, self.k, self.trunc)
+
+    @cached_property
+    def _kernel(self) -> np.ndarray:
+        kernel = kernel_coeffs(self.lam, self.q, self.trunc)
+        kernel.flags.writeable = False
+        return kernel
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        weights = _weight_table(self, self._kernel)
+        weights.flags.writeable = False
+        return weights
 
 
 def basic_number(t, q: float):
@@ -80,9 +101,8 @@ def kernel_coeffs(lam: float, q: float, top: int) -> np.ndarray:
     return kernel
 
 
-def _finite_kernel(lam: float, q: float, top: int) -> np.ndarray:
-    """kernel_coeffs(lam, q, top), a ValueError if an entry overflows."""
-    kernel = kernel_coeffs(lam, q, top)
+def _checked_kernel(kernel: np.ndarray, lam: float, q: float) -> np.ndarray:
+    """kernel, a ValueError naming lambda and q if an entry overflows."""
     if not np.isfinite(kernel).all():
         raise ValueError(f"kernel coefficient overflows at lambda = {lam}, q = {q}")
     return kernel
@@ -93,27 +113,49 @@ def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
     the last entry of kernel_coeffs(lam, q, n), a ValueError if it overflows."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return float(_finite_kernel(lam, q, n)[-1])
+    return float(_checked_kernel(kernel_coeffs(lam, q, n), lam, q)[-1])
 
 
 def _weights_overflow(params: ClassParams) -> ValueError:
     return ValueError(f"criterion weights overflow at k = {params.k}, lambda = {params.lam}")
 
 
+def _weight_table(params: ClassParams, kernel: np.ndarray) -> np.ndarray:
+    """([n](1+k) - k - alpha) * kernel_n for n = 2..kernel.size + 1; an
+    overflowing entry is left as +inf."""
+    bracket = basic_number(np.arange(2.0, kernel.size + 2.0), params.q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = bracket * (1.0 + params.k) - params.k - params.alpha
+        return factor * kernel
+
+
+def _finite_kernel(params: ClassParams, top: int) -> np.ndarray:
+    """Kernel for n = 2..top, a ValueError if an entry overflows: a read-only
+    slice of the params' table up to trunc, built fresh beyond it."""
+    if top <= params.trunc:
+        kernel = params._kernel[: max(top - 1, 0)]
+    else:
+        kernel = kernel_coeffs(params.lam, params.q, top)
+    return _checked_kernel(kernel, params.lam, params.q)
+
+
 def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarray:
     """Weights ([n](1+k) - k - alpha) * kernel_n multiplying |a_n| in the
-    sufficient membership condition, for n = 2..order (default trunc).
+    sufficient membership condition, for n = 2..order (default trunc): a
+    read-only slice of the params' table, bit-identical to a fresh build.
 
     Strictly positive under the parameter domain, since
-    [n] >= 1 + q > 1 >= (k + alpha) / (1 + k).  A kernel entry that
-    overflows is the ValueError of _finite_kernel; a weight that overflows,
-    as a k near the float maximum makes it, is a ValueError naming k.
+    [n] >= 1 + q > 1 >= (k + alpha) / (1 + k).  Only the slice asked for is
+    checked: a kernel entry in it that overflows is a ValueError naming
+    lambda and q, and a weight that overflows, as a k near the float maximum
+    makes it, is a ValueError naming k.
     """
     top = params.trunc if order is None else order
-    bracket = basic_number(np.arange(2.0, top + 1.0), params.q)
-    with np.errstate(over="ignore"):
-        factor = bracket * (1.0 + params.k) - params.k - params.alpha
-        weights = factor * _finite_kernel(params.lam, params.q, top)
+    kernel = _finite_kernel(params, top)
+    if top <= params.trunc:
+        weights = params._weights[: kernel.size]
+    else:
+        weights = _weight_table(params, kernel)
     if not np.isfinite(weights).all():
         raise _weights_overflow(params)
     return weights

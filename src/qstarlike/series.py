@@ -80,13 +80,26 @@ class PowerSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PowerSeries":
-        """The inverse of to_dict.  A coefficient that is not an int or a
-        float (a string, a bool, null) is a TypeError naming the entry."""
-        coeffs = tuple(data["coeffs"])
+        """The inverse of to_dict, on parsed JSON.  data that is not an
+        object and coeffs that is not an array are a TypeError naming the
+        JSON type found; a coefficient that is not an int or a float (a
+        string, a bool, null) is a TypeError naming the entry."""
+        if not isinstance(data, dict):
+            raise TypeError(f"a series must be a JSON object, got {_json_type(data)}")
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, list):
+            raise TypeError(f"coeffs must be a JSON array, got {_json_type(coeffs)}")
         for i, c in enumerate(coeffs):
             if isinstance(c, bool) or not isinstance(c, (int, float)):
                 raise TypeError(f"coeffs[{i}] must be a number, got {c!r}")
         return cls(coeffs, Sign(data["sign"]))
+
+
+def _json_type(value) -> str:
+    """The JSON name of the type of a parsed JSON value."""
+    names = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+             bool: "boolean", type(None): "null"}
+    return names.get(type(value), type(value).__name__)
 
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -163,7 +176,8 @@ def ruscheweyh(f: PowerSeries, params: ClassParams) -> PowerSeries:
     Scales each tail coefficient by the kernel coefficient [lam+1]_{n-1} /
     [n-1]! (all ones for lam = 0, the convolution identity z/(1-z)); this
     preserves the sign convention because the kernel coefficients are positive.
-    A kernel coefficient beyond the double range is a ValueError.
+    The kernel is a slice of the params' table, built fresh only for a series
+    longer than trunc; a kernel coefficient beyond the double range is a
+    ValueError.
     """
-    weights = _finite_kernel(params.lam, params.q, f.order)
-    return PowerSeries(f._array * weights, f.sign)
+    return PowerSeries(f._array * _finite_kernel(params, f.order), f.sign)

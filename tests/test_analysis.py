@@ -10,6 +10,8 @@ from qstarlike import (
     SampleGrid,
     Sign,
     WILF_RADII,
+    coefficient_test,
+    criterion_min_margin,
     default_nodes,
     extremal_function,
     integral_means,
@@ -375,6 +377,27 @@ def test_subordination_report_builds_no_weight_table(monkeypatch):
     # the order-3 weight still comes from the table
     criterion_weight(3, p)
     assert len(calls) == 1
+
+
+def test_one_params_object_builds_its_kernel_once(monkeypatch):
+    # every step of a certification slices the tables of its ClassParams
+    from qstarlike import qcore
+
+    calls = []
+    kernel_coeffs = qcore.kernel_coeffs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel_coeffs(*args, **kwargs)
+
+    monkeypatch.setattr(qcore, "kernel_coeffs", counted)
+    p = ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=256)
+    f = random_member(p, seed=3)
+    assert coefficient_test(f, p).verdict.value == "SUFFICIENT_PASS"
+    criterion_min_margin(f, p)
+    assert verify_integral_means(f, p, QuadratureConfig(nodes=default_nodes(f.order))).holds
+    assert subordination_report(f, p).holds
+    assert calls == [(1.0, 0.5, 256)]
 
 
 def test_sweep_rows_and_csv():

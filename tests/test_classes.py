@@ -177,3 +177,17 @@ def test_random_members_satisfy_criterion_on_grid():
         for seed in range(5):
             f = random_member(p, seed=100 * i + seed, density=1.0)
             assert criterion_min_margin(f, p) >= -1e-9
+
+
+def test_per_term_is_built_on_first_read():
+    p = ClassParams(q=0.5, lam=1.0, trunc=8)
+    report = coefficient_test(random_member(p, seed=2), p)
+    assert "per_term" not in vars(report)
+    assert [t[0] for t in report.per_term] == list(range(2, 9))
+    assert report.per_term is report.per_term
+    assert report.to_dict()["per_term"] == [list(t) for t in report.per_term]
+
+
+def test_random_member_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        random_member(ClassParams(q=0.5), seed=-1)

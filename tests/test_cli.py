@@ -444,6 +444,44 @@ def test_integral_means_and_sweep_share_one_comparison(capsys, series):
         assert sweep_code == code
 
 
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [
+        (["--seed", "7"], 256),
+        (["--seed", "9", "--trunc", "512"], 2048),
+        (["--seed", "7", "--nodes", "512"], 512),
+    ],
+)
+def test_sweep_json_reports_its_nodes(capsys, argv, nodes):
+    code, out, _ = run_cli(capsys, "sweep", "--q", "0.5", *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert list(doc) == ["nodes", "rows"] and doc["nodes"] == nodes
+    code, out, _ = run_cli(capsys, "sweep", "--q", "0.5", *argv, "--format", "csv")
+    assert out.startswith("r,eta,lhs,rhs,margin\n")
+
+
+@pytest.mark.parametrize(
+    "series, message",
+    [
+        ("[1,2]", "a series must be a JSON object, got array"),
+        ("null", "a series must be a JSON object, got null"),
+        ('{"sign":"minus","coeffs":"abc"}', "coeffs must be a JSON array, got string"),
+        ('{"coeffs":{"a":1}}', "coeffs must be a JSON array, got object"),
+    ],
+    ids=["list", "null", "string-coeffs", "object-coeffs"],
+)
+def test_series_json_shape_error_names_the_shape(capsys, series, message):
+    code, out, err = run_cli(capsys, "membership", "--series", series)
+    assert (code, out, err) == (2, "", f"error: invalid series JSON: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["integral-means", "subordination", "sweep"])
+def test_negative_seed_is_a_usage_error_naming_seed(capsys, command):
+    code, out, err = run_cli(capsys, command, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -1\n")
+
+
 def test_sweep_rejects_bad_list(capsys):
     code, _, err = run_cli(
         capsys,

@@ -1,4 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -15,7 +20,7 @@ from qstarlike.qcore import (
     kernel_coeffs,
     ruscheweyh_coeff,
 )
-from qstarlike.series import PowerSeries, Sign
+from qstarlike.series import PowerSeries, Sign, ruscheweyh
 
 NEAR_ONE = 1.0 - 1.0e-6
 
@@ -348,3 +353,131 @@ def test_order_two_weight_is_bit_identical_to_the_table():
     with pytest.raises(ValueError) as table:
         criterion_weights(p, order=2)
     assert str(closed.value) == str(table.value) == "criterion weights overflow at k = 1e+308, lambda = 0.0"
+
+
+def fresh_weights(p: ClassParams, n: int) -> np.ndarray:
+    """Table-free reference: the weights for 2..n built at length n, with the
+    overflow messages of criterion_weights, the kernel's first."""
+    kernel = kernel_coeffs(p.lam, p.q, n)
+    if not np.isfinite(kernel).all():
+        raise ValueError(f"kernel coefficient overflows at lambda = {p.lam}, q = {p.q}")
+    bracket = basic_number(np.arange(2.0, n + 1.0), p.q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (bracket * (1.0 + p.k) - p.k - p.alpha) * kernel
+    if not np.isfinite(weights).all():
+        raise ValueError(f"criterion weights overflow at k = {p.k}, lambda = {p.lam}")
+    return weights
+
+
+def outcome(build):
+    """The bytes of a float result or array, or the message of its
+    ValueError."""
+    try:
+        return np.asarray(build(), dtype=float).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_table_slices_are_bit_identical_to_a_fresh_build():
+    # every reader slices the params' tables; each slice must equal a build
+    # of its own length bit for bit, over the documented domain: q
+    # log-uniform near 0, uniform, or log-uniform near 1, lam in (-1, 50],
+    # alpha up to 0.999, k zero or log-uniform up to 1e300, trunc 2 to 4096,
+    # plus a weight and a kernel overflow, and an order above trunc
+    rng = np.random.default_rng(1313)
+    cases = [
+        (ClassParams(q=0.5, k=1e308, trunc=64), (2, 3, 64)),
+        (ClassParams(q=0.999999, lam=1000.0, trunc=2000), (2, 50, 2000)),
+        (ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=16), (2, 16, 40)),
+    ]
+    for _ in range(300):
+        edge = int(rng.integers(3))
+        if edge == 0:
+            q = 10.0 ** rng.uniform(-6.0, -1.0)
+        elif edge == 1:
+            q = rng.uniform(1.0e-6, NEAR_ONE)
+        else:
+            q = 1.0 - 10.0 ** rng.uniform(-6.0, -1.0)
+        k = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 300.0)
+        trunc = int(np.exp(rng.uniform(math.log(2.0), math.log(4096.0))))
+        p = ClassParams(
+            q=float(q),
+            lam=float(min(-1.0 + 10.0 ** rng.uniform(-2.0, math.log10(51.0)), 50.0)),
+            alpha=float(rng.uniform(0.0, 0.999)),
+            k=float(k),
+            trunc=trunc,
+        )
+        cases.append((p, (2, int(rng.integers(2, trunc + 1)), trunc)))
+    messages = set()
+    for p, orders in cases:
+        for n in orders:
+            want = outcome(lambda: fresh_weights(p, n))
+            assert outcome(lambda: criterion_weights(p, order=n)) == want, (p, n)
+            if isinstance(want, str):
+                messages.add(want.split(" overflow")[0])
+            else:
+                assert outcome(lambda: criterion_weight(n, p)) == want[-8:], (p, n)
+            f = PowerSeries(rng.uniform(0.0, 1.0, n - 1), Sign.MINUS)
+            kernel = kernel_coeffs(p.lam, p.q, n)
+            if np.isfinite(kernel).all():
+                expected = PowerSeries(np.asarray(f.coeffs) * kernel, Sign.MINUS)
+                assert ruscheweyh(f, p) == expected, (p, n)
+            else:
+                with pytest.raises(ValueError, match="^kernel coefficient overflows"):
+                    ruscheweyh(f, p)
+    assert messages == {"kernel coefficient", "criterion weights"}
+
+
+def test_params_builds_each_table_once_and_copies_carry_none():
+    p = ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=32)
+    weights = criterion_weights(p)
+    assert criterion_weights(p, order=5).base is weights.base
+    for copied in (
+        pickle.loads(pickle.dumps(p)),
+        copy.deepcopy(p),
+        copy.copy(p),
+        dataclasses.replace(p),
+    ):
+        assert copied == p and hash(copied) == hash(p)
+        assert "_kernel" not in vars(copied) and "_weights" not in vars(copied)
+        rebuilt = criterion_weights(copied)
+        assert rebuilt.tobytes() == weights.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            rebuilt[0] = 1.0
+
+
+def test_returned_weight_slices_are_read_only():
+    p = ClassParams(q=0.5, lam=1.0, trunc=16)
+    for order in (None, 2, 9):
+        weights = criterion_weights(p, order=order)
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 1.0
+    assert criterion_weights(p, order=2)[0] == criterion_weight(2, p)
+    # an order above trunc is built fresh and stays out of the table
+    longer = criterion_weights(p, order=20)
+    assert longer.size == 19 and longer.tobytes() == fresh_weights(p, 20).tobytes()
+    assert criterion_weights(p).size == 15
+
+
+def test_threads_sharing_one_params_object_read_equal_tables():
+    # the lazy tables have no lock: two threads may both build one, and
+    # every reader must still get equal, read-only weights
+    want = fresh_weights(ClassParams(q=0.9, lam=2.0, k=1.0, trunc=4096), 4096).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            p = ClassParams(q=0.9, lam=2.0, k=1.0, trunc=4096)
+            got = []
+            workers = [
+                threading.Thread(target=lambda: got.append(criterion_weights(p))) for _ in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert len(got) == 8
+            assert all(w.tobytes() == want and not w.flags.writeable for w in got)
+    finally:
+        sys.setswitchinterval(interval)
