@@ -28,9 +28,10 @@ class ClassParams:
     trunc is at most 2**18, so no table it sizes outgrows memory.
 
     The kernel and the raw weight table for n = 2..trunc are built on first
-    use, once per object, and kept read-only in the instance dict, outside
-    the fields: equality, hashing and dataclasses.replace ignore them, and a
-    pickled or copied object carries none and rebuilds its own."""
+    use by an order above trunc / 2, once per object, and kept read-only in
+    the instance dict, outside the fields: equality, hashing and
+    dataclasses.replace ignore them, and a pickled or copied object carries
+    none and rebuilds its own."""
 
     q: float
     lam: float = 0.0
@@ -59,15 +60,16 @@ class ClassParams:
 
     @cached_property
     def _kernel(self) -> np.ndarray:
-        kernel = kernel_coeffs(self.lam, self.q, self.trunc)
-        kernel.flags.writeable = False
-        return kernel
+        return _read_only(kernel_coeffs(self.lam, self.q, self.trunc))
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        weights = _weight_table(self, self._kernel)
-        weights.flags.writeable = False
-        return weights
+        return _read_only(_weight_table(self, self._kernel))
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 def basic_number(t, q: float):
@@ -129,20 +131,27 @@ def _weight_table(params: ClassParams, kernel: np.ndarray) -> np.ndarray:
         return factor * kernel
 
 
+def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw kernel and weights for n = 2..top, read-only and unchecked.  They
+    are prefix slices of the params' tables when top is more than half of
+    trunc and at most trunc, so building the tables costs at most twice a
+    build at length top; a shorter or a longer top is built fresh."""
+    if params.trunc < 2 * top <= 2 * params.trunc:
+        return params._kernel[: top - 1], params._weights[: top - 1]
+    kernel = _read_only(kernel_coeffs(params.lam, params.q, top))
+    return kernel, _read_only(_weight_table(params, kernel))
+
+
 def _finite_kernel(params: ClassParams, top: int) -> np.ndarray:
-    """Kernel for n = 2..top, a ValueError if an entry overflows: a read-only
-    slice of the params' table up to trunc, built fresh beyond it."""
-    if top <= params.trunc:
-        kernel = params._kernel[: max(top - 1, 0)]
-    else:
-        kernel = kernel_coeffs(params.lam, params.q, top)
-    return _checked_kernel(kernel, params.lam, params.q)
+    """Kernel for n = 2..top from _tables, a ValueError if an entry overflows."""
+    return _checked_kernel(_tables(params, top)[0], params.lam, params.q)
 
 
 def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarray:
     """Weights ([n](1+k) - k - alpha) * kernel_n multiplying |a_n| in the
-    sufficient membership condition, for n = 2..order (default trunc): a
-    read-only slice of the params' table, bit-identical to a fresh build.
+    sufficient membership condition, for n = 2..order (default trunc):
+    read-only, a slice of the params' table for an order above trunc / 2 and
+    at most trunc, and bit-identical to a fresh build either way.
 
     Strictly positive under the parameter domain, since
     [n] >= 1 + q > 1 >= (k + alpha) / (1 + k).  Only the slice asked for is
@@ -150,12 +159,8 @@ def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarr
     lambda and q, and a weight that overflows, as a k near the float maximum
     makes it, is a ValueError naming k.
     """
-    top = params.trunc if order is None else order
-    kernel = _finite_kernel(params, top)
-    if top <= params.trunc:
-        weights = params._weights[: kernel.size]
-    else:
-        weights = _weight_table(params, kernel)
+    kernel, weights = _tables(params, params.trunc if order is None else order)
+    _checked_kernel(kernel, params.lam, params.q)
     if not np.isfinite(weights).all():
         raise _weights_overflow(params)
     return weights

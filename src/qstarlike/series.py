@@ -176,8 +176,8 @@ def ruscheweyh(f: PowerSeries, params: ClassParams) -> PowerSeries:
     Scales each tail coefficient by the kernel coefficient [lam+1]_{n-1} /
     [n-1]! (all ones for lam = 0, the convolution identity z/(1-z)); this
     preserves the sign convention because the kernel coefficients are positive.
-    The kernel is a slice of the params' table, built fresh only for a series
-    longer than trunc; a kernel coefficient beyond the double range is a
-    ValueError.
+    The kernel is a slice of the params' table, built fresh for a series
+    longer than trunc or shorter than half of it; a kernel coefficient beyond
+    the double range is a ValueError.
     """
     return PowerSeries(f._array * _finite_kernel(params, f.order), f.sign)

@@ -388,7 +388,7 @@ def test_table_slices_are_bit_identical_to_a_fresh_build():
     cases = [
         (ClassParams(q=0.5, k=1e308, trunc=64), (2, 3, 64)),
         (ClassParams(q=0.999999, lam=1000.0, trunc=2000), (2, 50, 2000)),
-        (ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=16), (2, 16, 40)),
+        (ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=16), (2, 8, 9, 16, 40)),
     ]
     for _ in range(300):
         edge = int(rng.integers(3))
@@ -431,7 +431,7 @@ def test_table_slices_are_bit_identical_to_a_fresh_build():
 def test_params_builds_each_table_once_and_copies_carry_none():
     p = ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=32)
     weights = criterion_weights(p)
-    assert criterion_weights(p, order=5).base is weights.base
+    assert criterion_weights(p, order=17).base is weights.base
     for copied in (
         pickle.loads(pickle.dumps(p)),
         copy.deepcopy(p),
@@ -444,6 +444,21 @@ def test_params_builds_each_table_once_and_copies_carry_none():
         assert rebuilt.tobytes() == weights.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             rebuilt[0] = 1.0
+
+
+def test_an_order_up_to_half_of_trunc_leaves_the_tables_unbuilt():
+    # a short given series at a large trunc must not pay for the whole table
+    p = ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=2**18)
+    f = PowerSeries([0.5] * 7, Sign.MINUS)
+    assert criterion_weights(p, order=8).tobytes() == fresh_weights(p, 8).tobytes()
+    assert criterion_weight(8, p) == fresh_weights(p, 8)[-1]
+    assert ruscheweyh(f, p).coeffs == ruscheweyh(f, ClassParams(q=0.5, lam=1.0, trunc=8)).coeffs
+    assert "_kernel" not in vars(p) and "_weights" not in vars(p)
+    half = ClassParams(q=0.5, lam=1.0, trunc=32)
+    criterion_weights(half, order=16)
+    assert "_kernel" not in vars(half)
+    criterion_weights(half, order=17)
+    assert "_kernel" in vars(half) and "_weights" in vars(half)
 
 
 def test_returned_weight_slices_are_read_only():
