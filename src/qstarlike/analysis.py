@@ -27,7 +27,7 @@ import numpy as np
 
 from .classes import Verdict, _extremal_coeff, coefficient_test
 from .qcore import ClassParams, criterion_weight
-from .series import PowerSeries, SampleGrid, Sign, ring_values
+from .series import PowerSeries, SampleGrid, Sign, _ring, ring_values
 
 # Multiplicative slack for lhs <= rhs comparisons between circle integrals.
 INTEGRAL_MEANS_SLACK = 1.0e-9
@@ -113,7 +113,7 @@ def sweep_integral_means(
     stacked = np.zeros((2, max(f.order + 1, 3)))
     stacked[0, : f.order + 1] = f.full()
     stacked[1, :3] = (0.0, 1.0, -_extremal_coeff(2, params))
-    mods = np.abs(ring_values(stacked, radii, nodes))
+    mods = np.abs(_ring(stacked, np.array(radii), nodes))
     sides = [_circle_integral(mods, eta).tolist() for eta in etas]
     return [
         SweepRow(r, eta, lhs[i], rhs[i], rhs[i] - lhs[i])

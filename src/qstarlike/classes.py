@@ -16,14 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import ClassParams, criterion_weight, criterion_weights
-from .series import (
-    PowerSeries,
-    SampleGrid,
-    Sign,
-    q_derivative,
-    ruscheweyh,
-)
+from .qcore import ClassParams, _tables, criterion_weight, criterion_weights
+from .series import PowerSeries, SampleGrid, Sign, _q_derivative
 
 # |R f(z)| below this is no longer trusted in double precision; the ratio
 # defining the criterion is reported as degenerate instead of evaluated.
@@ -126,16 +120,33 @@ def criterion_min_margin(
     every grid point.  Raises DegenerateDenominatorError when |R f(z)| < 1e-14
     at some grid point.  The reduction over points is a plain minimum, so the
     result does not depend on evaluation order.
+
+    R f, the Ruscheweyh transform, scales each tail coefficient by the
+    kernel coefficient [lam+1]_{n-1} / [n-1]! from the params' table; R f
+    and z D_q R f are written as the two rows of one array.  A kernel or R f
+    coefficient beyond the double range is a ValueError.
     """
-    g = ruscheweyh(f, params)
-    z_dq = np.concatenate(([0.0], q_derivative(g, params.q)))
-    den, num = grid.values(np.stack((g.full(), z_dq)))
+    rows = np.zeros((2, f.order + 1))
+    rows[0, 1] = 1.0
+    with np.errstate(over="ignore"):
+        np.multiply(f.tail(), _tables(params, f.order)[0], out=rows[0, 2:])
+    if not np.isfinite(rows[0]).all():
+        raise ValueError("series coefficients must be finite")
+    rows[1, 1:] = _q_derivative(rows[0], params.q)
+    den, num = grid.values(rows)
     if np.min(np.abs(den)) < DEGENERATE_TOL:
         raise DegenerateDenominatorError(
             "Ruscheweyh transform vanishes at a sample point"
         )
     w = num / den
     return float(np.min(w.real - params.alpha - params.k * np.abs(w - 1.0)))
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """numpy's generator for seed; a negative seed is a ValueError naming it."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def random_member(params: ClassParams, seed: int, density: float = 0.8) -> PowerSeries:
@@ -151,9 +162,7 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     m = params.trunc - 1
     weights = criterion_weights(params)
     mags = np.zeros(m)

@@ -27,11 +27,12 @@ class ClassParams:
     the order of generated members; a given series keeps its own order.
     trunc is at most 2**18, so no table it sizes outgrows memory.
 
-    The kernel and the raw weight table for n = 2..trunc are built on first
-    use by an order above trunc / 2, once per object, and kept read-only in
-    the instance dict, outside the fields: equality, hashing and
-    dataclasses.replace ignore them, and a pickled or copied object carries
-    none and rebuilds its own."""
+    The kernel and the raw weight table for n = 2..trunc, with the lengths
+    of their finite prefixes, are built on first use by an order above
+    trunc / 2, and the order-2 weight w_2 on first use, once per object.
+    They are kept, the tables read-only, in the instance dict, outside the
+    fields: equality, hashing and dataclasses.replace ignore them, and a
+    pickled or copied object carries none and rebuilds its own."""
 
     q: float
     lam: float = 0.0
@@ -66,10 +67,28 @@ class ClassParams:
     def _weights(self) -> np.ndarray:
         return _read_only(_weight_table(self, self._kernel))
 
+    @cached_property
+    def _finite_lengths(self) -> tuple[int, int]:
+        return _finite_prefix(self._kernel), _finite_prefix(self._weights)
+
+    @cached_property
+    def _w2(self) -> float:
+        # ([2](1+k) - k - alpha) [lam+1]: both brackets from one basic_number
+        # call, and the kernel's divisor is [1] = 1, so it is bit-identical
+        # to the table entry; an overflow is left as +inf
+        two, kernel = basic_number(np.array([2.0, self.lam + 1.0]), self.q).tolist()
+        return (two * (1.0 + self.k) - self.k - self.alpha) * kernel
+
 
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False
     return table
+
+
+def _finite_prefix(table: np.ndarray) -> int:
+    """How many leading entries of table are finite."""
+    bad = np.flatnonzero(~np.isfinite(table))
+    return int(bad[0]) if bad.size else table.size
 
 
 def basic_number(t, q: float):
@@ -103,11 +122,8 @@ def kernel_coeffs(lam: float, q: float, top: int) -> np.ndarray:
     return kernel
 
 
-def _checked_kernel(kernel: np.ndarray, lam: float, q: float) -> np.ndarray:
-    """kernel, a ValueError naming lambda and q if an entry overflows."""
-    if not np.isfinite(kernel).all():
-        raise ValueError(f"kernel coefficient overflows at lambda = {lam}, q = {q}")
-    return kernel
+def _kernel_overflow(lam: float, q: float) -> ValueError:
+    return ValueError(f"kernel coefficient overflows at lambda = {lam}, q = {q}")
 
 
 def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
@@ -115,7 +131,10 @@ def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
     the last entry of kernel_coeffs(lam, q, n), a ValueError if it overflows."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return float(_checked_kernel(kernel_coeffs(lam, q, n), lam, q)[-1])
+    kernel = kernel_coeffs(lam, q, n)
+    if not np.isfinite(kernel).all():
+        raise _kernel_overflow(lam, q)
+    return float(kernel[-1])
 
 
 def _weights_overflow(params: ClassParams) -> ValueError:
@@ -131,20 +150,23 @@ def _weight_table(params: ClassParams, kernel: np.ndarray) -> np.ndarray:
         return factor * kernel
 
 
-def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw kernel and weights for n = 2..top, read-only and unchecked.  They
-    are prefix slices of the params' tables when top is more than half of
-    trunc and at most trunc, so building the tables costs at most twice a
-    build at length top; a shorter or a longer top is built fresh."""
+def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Kernel and weights for n = 2..top, read-only, and whether every weight
+    is finite.  They are prefix slices of the params' tables, checked
+    against the recorded finite-prefix lengths, when top is more than half
+    of trunc and at most trunc, so building the tables costs at most twice
+    a build at length top; a shorter or a longer top is built fresh.  A
+    kernel entry that overflows is a ValueError naming lambda and q."""
     if params.trunc < 2 * top <= 2 * params.trunc:
-        return params._kernel[: top - 1], params._weights[: top - 1]
-    kernel = _read_only(kernel_coeffs(params.lam, params.q, top))
-    return kernel, _read_only(_weight_table(params, kernel))
-
-
-def _finite_kernel(params: ClassParams, top: int) -> np.ndarray:
-    """Kernel for n = 2..top from _tables, a ValueError if an entry overflows."""
-    return _checked_kernel(_tables(params, top)[0], params.lam, params.q)
+        kernel, weights = params._kernel[: top - 1], params._weights[: top - 1]
+        finite_kernel, finite_weights = params._finite_lengths
+    else:
+        kernel = _read_only(kernel_coeffs(params.lam, params.q, top))
+        weights = _read_only(_weight_table(params, kernel))
+        finite_kernel, finite_weights = _finite_prefix(kernel), _finite_prefix(weights)
+    if finite_kernel < top - 1:
+        raise _kernel_overflow(params.lam, params.q)
+    return kernel, weights, finite_weights >= top - 1
 
 
 def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarray:
@@ -159,25 +181,21 @@ def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarr
     lambda and q, and a weight that overflows, as a k near the float maximum
     makes it, is a ValueError naming k.
     """
-    kernel, weights = _tables(params, params.trunc if order is None else order)
-    _checked_kernel(kernel, params.lam, params.q)
-    if not np.isfinite(weights).all():
+    _, weights, finite = _tables(params, params.trunc if order is None else order)
+    if not finite:
         raise _weights_overflow(params)
     return weights
 
 
 def criterion_weight(n: int, params: ClassParams) -> float:
     """Weight of |a_n| in the membership condition, n >= 2: the last entry
-    of criterion_weights(params, order=n).  w_2 is the closed form
-    ([2](1+k) - k - alpha) [lam+1], bit-identical to the table entry: both
-    brackets come from one basic_number call and the kernel's divisor is
-    [1] = 1.  An overflow is the table's ValueError."""
+    of criterion_weights(params, order=n).  w_2 is the params' closed form
+    ([2](1+k) - k - alpha) [lam+1], built once per object and bit-identical
+    to the table entry.  An overflow is the table's ValueError."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if n > 2:
         return float(criterion_weights(params, order=n)[-1])
-    two, kernel = basic_number(np.array([2.0, params.lam + 1.0]), params.q).tolist()
-    weight = (two * (1.0 + params.k) - params.k - params.alpha) * kernel
-    if not math.isfinite(weight):
+    if not math.isfinite(params._w2):
         raise _weights_overflow(params)
-    return weight
+    return params._w2

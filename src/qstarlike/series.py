@@ -5,24 +5,25 @@ the tail magnitudes (a_2, ..., a_N) together with a sign convention: PLUS for
 z + sum a_n z^n with arbitrary real a_n, MINUS for z - sum a_n z^n with
 a_n >= 0 (the negative-coefficient family the membership machinery works in).
 
-The operations are the q-difference derivative, the Ruscheweyh transform,
-Horner evaluation at arbitrary points (poly_eval) and evaluation on circles
-(ring_values).  Coefficients are real, so p(conj z) = conj p(z): ring_values
-evaluates only the closed upper half of each circle, and the lower half is
-its mirror image.
+The operations are the q-difference derivative, Horner evaluation at
+arbitrary points (poly_eval) and evaluation on circles (ring_values).
+Coefficients are real, so p(conj z) = conj p(z): ring_values evaluates only
+the closed upper half of each circle, and the lower half is its mirror
+image.
 
-Series are immutable values; all operations return fresh objects and are safe
-for concurrent use.
+Series are immutable values; all operations return fresh objects or
+read-only arrays and are safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ClassParams, _finite_kernel, basic_number
+from .qcore import basic_number
 
 
 class Sign(enum.Enum):
@@ -33,9 +34,10 @@ class Sign(enum.Enum):
 @dataclass(frozen=True)
 class PowerSeries:
     """coeffs is a tuple of Python floats; equality and hashing read it and
-    sign alone.  The series also keeps a read-only copy of the validated
-    float array, which tail() and full() read.  The order is at most 2**18,
-    the trunc ceiling, so no table or ring a series sizes outgrows memory."""
+    sign alone.  The coefficients are checked once, here, and the series
+    keeps its signed tail as a read-only array, which tail() returns and
+    full() reads.  The order is at most 2**18, the trunc ceiling, so no
+    table or ring a series sizes outgrows memory."""
 
     coeffs: tuple[float, ...]
     sign: Sign = Sign.PLUS
@@ -53,13 +55,14 @@ class PowerSeries:
             raise ValueError("series coefficients must be finite")
         if self.sign is Sign.MINUS and (arr < 0.0).any():
             raise ValueError("MINUS-convention series needs nonnegative coefficients")
-        arr.flags.writeable = False
+        tail = -arr if self.sign is Sign.MINUS else arr
+        tail.flags.writeable = False
         object.__setattr__(self, "coeffs", tuple(arr.tolist()))
-        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "_tail", tail)
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through __post_init__, so the copy's
-        # array is read-only as well
+        # tail is read-only as well
         return PowerSeries, (self.coeffs, self.sign)
 
     @property
@@ -68,8 +71,9 @@ class PowerSeries:
         return len(self.coeffs) + 1
 
     def tail(self) -> np.ndarray:
-        """Signed coefficients (c_2, ..., c_N); read-only for a PLUS series."""
-        return -self._array if self.sign is Sign.MINUS else self._array
+        """Signed coefficients (c_2, ..., c_N), the kept read-only array: no
+        copy is made, for either sign."""
+        return self._tail
 
     def full(self) -> np.ndarray:
         """Ascending polynomial coefficients (0, 1, c_2, ..., c_N)."""
@@ -80,19 +84,28 @@ class PowerSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PowerSeries":
-        """The inverse of to_dict, on parsed JSON.  data that is not an
-        object and coeffs that is not an array are a TypeError naming the
-        JSON type found; a coefficient that is not an int or a float (a
-        string, a bool, null) is a TypeError naming the entry."""
+        """The inverse of to_dict, on parsed JSON.  Each problem is a
+        TypeError: data that is not an object and coeffs that is not an
+        array name the JSON type found, a missing key names the key, a
+        coefficient that is not an int or a float (a string, a bool, null)
+        names the entry, and a sign other than "plus" or "minus" names the
+        value found and the two allowed."""
         if not isinstance(data, dict):
             raise TypeError(f"a series must be a JSON object, got {_json_type(data)}")
+        if "coeffs" not in data:
+            raise TypeError('a series needs the key "coeffs"')
         coeffs = data["coeffs"]
         if not isinstance(coeffs, list):
             raise TypeError(f"coeffs must be a JSON array, got {_json_type(coeffs)}")
         for i, c in enumerate(coeffs):
             if isinstance(c, bool) or not isinstance(c, (int, float)):
                 raise TypeError(f"coeffs[{i}] must be a number, got {c!r}")
-        return cls(coeffs, Sign(data["sign"]))
+        if "sign" not in data:
+            raise TypeError('a series needs the key "sign"')
+        sign = data["sign"]
+        if sign not in ("plus", "minus"):
+            raise TypeError(f'sign must be "plus" or "minus", got {json.dumps(sign)}')
+        return cls(coeffs, Sign(sign))
 
 
 def _json_type(value) -> str:
@@ -107,22 +120,33 @@ DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Deterministic disc sampling: equally spaced angles on a set of radii."""
+    """Deterministic disc sampling: equally spaced angles on a set of radii.
+    The radii are checked once, here, and kept as a tuple of Python floats,
+    which equality and hashing read, and as a read-only float array outside
+    the fields, which values() hands to the ring unchecked; a pickled or
+    copied grid is checked again and keeps its own."""
 
     radii: tuple[float, ...] = DEFAULT_RADII
     n_angles: int = 64
 
     def __post_init__(self) -> None:
-        if any(not 0.0 < r < 1.0 for r in self.radii):
+        radii = np.array(self.radii, dtype=float)
+        if radii.ndim != 1 or not np.all((0.0 < radii) & (radii < 1.0)):
             raise ValueError("grid radii must lie in (0, 1)")
         if self.n_angles < 1:
             raise ValueError("n_angles must be positive")
+        radii.flags.writeable = False
+        object.__setattr__(self, "radii", tuple(radii.tolist()))
+        object.__setattr__(self, "_radii", radii)
+
+    def __reduce__(self):
+        return SampleGrid, (self.radii, self.n_angles)
 
     def values(self, coeffs) -> np.ndarray:
         """Values of a real ascending coefficient sequence, or a stack of
-        them, from one ring_values call: one row per grid radius, the closed
-        upper half of its ring."""
-        return ring_values(coeffs, self.radii, self.n_angles)
+        them, from one ring call: one row per grid radius, the closed upper
+        half of its ring, as ring_values gives them."""
+        return _ring(np.asarray(coeffs, dtype=float), self._radii, self.n_angles)
 
 
 def poly_eval(coeffs, z):
@@ -144,16 +168,34 @@ def ring_values(coeffs, r, nodes: int) -> np.ndarray:
     bit-identical to its own single-sequence, single-radius call.  c_n r^n
     is added into bin n mod nodes, exact at the nodes-th roots of unity, so
     any order is accepted; one real FFT per row of the bins gives the
-    conjugate values."""
+    conjugate values.  The arguments are checked here; _ring does the work."""
     radii = np.asarray(r, dtype=float)
     if not (nodes >= 1 and radii.ndim <= 1 and np.all((0.0 <= radii) & (radii < 1.0))):
         raise ValueError(f"a ring needs 0 <= r < 1 and nodes >= 1, got r={r}, nodes={nodes}")
-    c = np.asarray(coeffs, dtype=float)
+    return _ring(np.asarray(coeffs, dtype=float), radii, nodes)
+
+
+def _ring(c: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
+    """ring_values on checked arguments: c a float array of shape
+    (..., order), radii a float array of at most one dimension.
+
+    An order above nodes is folded by one sum over blocks of nodes bins,
+    the last padded with -0.0 and the sum started from it: -0.0 is the
+    additive identity that keeps the sign of a zero.  numpy adds a non-last
+    axis block by block, in order, so each bin is bit for bit the sum of
+    its terms left to right; at nodes = 1 the blocks axis is the contiguous
+    one, and the value at z = r is numpy's pairwise sum instead."""
     order = c.shape[-1]
     scaled = c[..., None, :] if radii.ndim else c
-    scaled = scaled * radii[..., None] ** np.arange(order)
-    for start in range(nodes, order, nodes):
-        scaled[..., : min(nodes, order - start)] += scaled[..., start : start + nodes]
+    powers = radii[..., None] ** np.arange(order)
+    if order <= nodes:
+        scaled = scaled * powers
+    else:
+        rows, blocks = c.shape[:-1] + radii.shape, -(-order // nodes)
+        padded = np.empty(rows + (blocks * nodes,))
+        np.multiply(scaled, powers, out=padded[..., :order])
+        padded[..., order:] = -0.0
+        scaled = padded.reshape(rows + (blocks, nodes)).sum(axis=-2, initial=-0.0)
     values = np.fft.rfft(scaled, n=nodes)
     return np.conj(values, out=values)
 
@@ -166,18 +208,9 @@ def q_derivative(f: PowerSeries, q: float) -> np.ndarray:
     quotient (f(z) - f(qz)) / ((1-q) z) exactly, both being finite sums; the
     constant term is the z -> 0 value f'(0) = 1.
     """
-    c = f.full()
+    return _q_derivative(f.full(), q)
+
+
+def _q_derivative(c: np.ndarray, q: float) -> np.ndarray:
+    """q_derivative on the ascending coefficients c of a series."""
     return basic_number(np.arange(1.0, len(c)), q) * c[1:]
-
-
-def ruscheweyh(f: PowerSeries, params: ClassParams) -> PowerSeries:
-    """Apply the Ruscheweyh q-differential operator to f.
-
-    Scales each tail coefficient by the kernel coefficient [lam+1]_{n-1} /
-    [n-1]! (all ones for lam = 0, the convolution identity z/(1-z)); this
-    preserves the sign convention because the kernel coefficients are positive.
-    The kernel is a slice of the params' table, built fresh for a series
-    longer than trunc or shorter than half of it; a kernel coefficient beyond
-    the double range is a ValueError.
-    """
-    return PowerSeries(f._array * _finite_kernel(params, f.order), f.sign)

@@ -135,6 +135,7 @@ def cases() -> dict[str, list[str]]:
         "error_uncertified_sweep": ["sweep", "--series", OVERSIZED],
         "error_r_list": ["sweep", "--r-list", "a,b", "--format", "csv"],
         "error_eta_list_empty": ["sweep", "--eta-list", ",", "--format", "csv"],
+        "error_limit_check_seed": ["limit-check", "--seed", "-1"],
         "error_unknown_flag": ["membership", "--bogus", "1"],
         "error_missing_command": [],
     }

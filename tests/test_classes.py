@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qstarlike import (
@@ -11,8 +12,11 @@ from qstarlike import (
     extremal_function,
     random_member,
 )
-from qstarlike.classes import DegenerateDenominatorError
+from qstarlike.analysis import WILF_RADII
+from qstarlike.classes import DEGENERATE_TOL, DegenerateDenominatorError
 from qstarlike.qcore import criterion_weight
+from qstarlike.series import q_derivative, ring_values
+from reference import ruscheweyh
 
 NEAR_ONE = 1.0 - 1.0e-6
 
@@ -191,3 +195,57 @@ def test_per_term_is_built_on_first_read():
 def test_random_member_refuses_a_negative_seed():
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
         random_member(ClassParams(q=0.5), seed=-1)
+
+
+def stacked_min_margin(f, params, grid=SampleGrid()):
+    """criterion_min_margin built as it was before its rows were written
+    directly: R f as a PowerSeries, its q-derivative shifted by one power,
+    np.stack of the two, and one checked ring_values call."""
+    g = ruscheweyh(f, params)
+    z_dq = np.concatenate(([0.0], q_derivative(g, params.q)))
+    den, num = ring_values(np.stack((g.full(), z_dq)), grid.radii, grid.n_angles)
+    if np.min(np.abs(den)) < DEGENERATE_TOL:
+        raise DegenerateDenominatorError("Ruscheweyh transform vanishes at a sample point")
+    w = num / den
+    return float(np.min(w.real - params.alpha - params.k * np.abs(w - 1.0)))
+
+
+def margin_outcome(margin, f, params, grid):
+    """The exact bits of a margin, or the type and message of its error;
+    numpy's overflow warning is silenced, so the reference's transform that
+    overflows reaches the series' own finiteness check."""
+    try:
+        with np.errstate(over="ignore"):
+            return margin(f, params, grid).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_criterion_rows_are_bit_identical_to_the_stacked_build():
+    rng = np.random.default_rng(1414)
+    grids = (SampleGrid(), SampleGrid((0.3, 0.9), 7), SampleGrid(WILF_RADII + (0.999,), 512))
+    cases = []
+    for p in PARAM_GRID[::4] + [ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=256)]:
+        cases.append((random_member(p, seed=int(rng.integers(2**31))), p))
+        n = np.arange(2.0, p.trunc + 1.0)
+        cases.append((PowerSeries(rng.uniform(-1.0, 1.0, n.size) / n**3), p))
+    # a given series of order at most trunc / 2, whose kernel is built fresh
+    cases.append((PowerSeries((0.3, 0.0, 0.1), Sign.MINUS), ClassParams(q=0.6, lam=2.0, trunc=64)))
+    # errors: a transformed tail beyond the double range, a kernel that
+    # overflows, and a transform that vanishes at a grid point
+    cases.append((PowerSeries((1e308, 1e308)), ClassParams(q=0.5, lam=3.0, trunc=3)))
+    cases.append((PowerSeries((1e-3,) * 1999, Sign.MINUS),
+                  ClassParams(q=0.999999, lam=1000.0, trunc=2000)))
+    cases.append((PowerSeries((1.25,), Sign.MINUS), ClassParams(q=0.5, trunc=2)))
+    seen = set()
+    for f, p in cases:
+        for grid in grids + (SampleGrid((0.8,), 1),):
+            want = margin_outcome(stacked_min_margin, f, p, grid)
+            assert margin_outcome(criterion_min_margin, f, p, grid) == want, (f.sign, p, grid)
+            seen.add(want[1].split(" at ")[0] if isinstance(want, tuple) else "margin")
+    assert seen == {
+        "margin",
+        "series coefficients must be finite",
+        "kernel coefficient overflows",
+        "Ruscheweyh transform vanishes",
+    }

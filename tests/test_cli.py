@@ -476,7 +476,22 @@ def test_series_json_shape_error_names_the_shape(capsys, series, message):
     assert (code, out, err) == (2, "", f"error: invalid series JSON: {message}\n")
 
 
-@pytest.mark.parametrize("command", ["integral-means", "subordination", "sweep"])
+@pytest.mark.parametrize(
+    "series, message",
+    [
+        ('{"sign":"bogus","coeffs":[0.5]}', 'sign must be "plus" or "minus", got "bogus"'),
+        ('{"sign":["minus"],"coeffs":[0.5]}', 'sign must be "plus" or "minus", got ["minus"]'),
+        ('{"coeffs":[0.5]}', 'a series needs the key "sign"'),
+        ('{"sign":"minus"}', 'a series needs the key "coeffs"'),
+    ],
+    ids=["bogus-sign", "list-sign", "missing-sign", "missing-coeffs"],
+)
+def test_series_json_key_or_sign_error_names_what_was_found(capsys, series, message):
+    code, out, err = run_cli(capsys, "membership", "--series", series)
+    assert (code, out, err) == (2, "", f"error: invalid series JSON: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["integral-means", "subordination", "sweep", "limit-check"])
 def test_negative_seed_is_a_usage_error_naming_seed(capsys, command):
     code, out, err = run_cli(capsys, command, "--seed", "-1")
     assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -1\n")

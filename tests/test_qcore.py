@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qstarlike import qcore
 from qstarlike.classes import criterion_min_margin
 from qstarlike.qcore import (
     ClassParams,
@@ -20,7 +21,8 @@ from qstarlike.qcore import (
     kernel_coeffs,
     ruscheweyh_coeff,
 )
-from qstarlike.series import PowerSeries, Sign, ruscheweyh
+from qstarlike.series import PowerSeries, Sign
+from reference import ruscheweyh
 
 NEAR_ONE = 1.0 - 1.0e-6
 
@@ -444,6 +446,28 @@ def test_params_builds_each_table_once_and_copies_carry_none():
         assert rebuilt.tobytes() == weights.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             rebuilt[0] = 1.0
+
+
+def test_w2_is_the_closed_form_built_once_per_params(monkeypatch):
+    p = ClassParams(q=0.3, lam=0.5, alpha=0.25, k=1.5)
+    two, bracket = basic_number(np.array([2.0, p.lam + 1.0]), p.q).tolist()
+    want = (two * (1.0 + p.k) - p.k - p.alpha) * bracket
+    assert criterion_weight(2, p) == want == criterion_weights(p, order=2)[0]
+    assert vars(p)["_w2"] == want
+    # later reads compute nothing
+    calls = []
+    monkeypatch.setattr(qcore, "basic_number", lambda *args: calls.append(args))
+    assert criterion_weight(2, p) == want and not calls
+    monkeypatch.undo()
+    criterion_weights(p)
+    for copied in (
+        pickle.loads(pickle.dumps(p)),
+        copy.deepcopy(p),
+        copy.copy(p),
+        dataclasses.replace(p),
+    ):
+        assert not {"_w2", "_finite_lengths", "_kernel", "_weights"} & set(vars(copied))
+        assert criterion_weight(2, copied) == want
 
 
 def test_an_order_up_to_half_of_trunc_leaves_the_tables_unbuilt():

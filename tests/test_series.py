@@ -17,7 +17,8 @@ from qstarlike import (
     q_derivative,
 )
 from qstarlike.qcore import basic_number
-from qstarlike.series import ring_values, ruscheweyh
+from qstarlike.series import _ring, ring_values
+from reference import ruscheweyh
 
 NEAR_ONE = 1.0 - 1.0e-6
 EPS = np.finfo(float).eps
@@ -351,12 +352,13 @@ def test_series_keeps_its_own_read_only_array():
     np.testing.assert_array_equal(f.full(), [0.0, 1.0, -0.5, -0.25, -0.0])
     g = PowerSeries((0.5, 0.25, 0.0), Sign.MINUS)
     assert f == g and hash(f) == hash(g)
-    # a PLUS tail is the kept array itself, so writing into it raises; a
-    # MINUS tail is a fresh negation, and writing into it leaves f alone
+    # the tail is the kept signed array itself for either sign: no call
+    # allocates a copy, and writing into it raises
     plus = PowerSeries((0.5, -0.25))
-    with pytest.raises(ValueError, match="read-only"):
-        plus.tail()[0] = 1.0
-    f.tail()[0] = 7.0
+    for series in (plus, f):
+        assert series.tail() is series.tail()
+        with pytest.raises(ValueError, match="read-only"):
+            series.tail()[0] = 7.0
     assert f.coeffs[0] == 0.5 and f.full()[2] == -0.5
     assert plus.tail().tolist() == [0.5, -0.25]
     # a pickled or deep-copied series is an equal value with its own
@@ -394,3 +396,62 @@ def test_ring_values_stacked_rows_equal_single_row_calls(size, nodes):
         assert batch.shape == (2, *np.shape(r), nodes // 2 + 1)
         for row, coeffs in zip(batch, stack):
             np.testing.assert_array_equal(row, ring_values(coeffs, r, nodes))
+
+
+def loop_fold_ring(c: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
+    """The ring as it was folded before the one reshape-sum: a Python loop
+    adds each block of nodes scaled terms into the bins in turn."""
+    order = c.shape[-1]
+    scaled = (c[..., None, :] if radii.ndim else c) * radii[..., None] ** np.arange(order)
+    for start in range(nodes, order, nodes):
+        scaled[..., : min(nodes, order - start)] += scaled[..., start : start + nodes]
+    values = np.fft.rfft(scaled, n=nodes)
+    return np.conj(values, out=values)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 7, 64])
+def test_ring_fold_is_bit_identical_to_the_loop_fold(nodes):
+    # orders below, equal to and above nodes, a (2, order) stack and a single
+    # row, a list of radii and a scalar one; half the entries of one row are
+    # -0.0, as a MINUS tail has them, so a bin of them only keeps its sign
+    # if the last block is padded with -0.0
+    rng = np.random.default_rng(nodes)
+    radii = np.array([0.0, 0.3, 0.9999])
+    for order in sorted({max(nodes - 1, 1), nodes, nodes + 1, 3 * nodes + 2, 5 * nodes, 300}):
+        stack = rng.uniform(-1.0, 1.0, (2, order))
+        stack[1, rng.random(order) < 0.5] = -0.0
+        for c in (stack, stack[1]):
+            for r in (radii, radii[2]):
+                got = _ring(c, r, nodes)
+                want = loop_fold_ring(c, r, nodes)
+                if nodes > 1:
+                    assert got.tobytes() == want.tobytes(), (order, c.shape, r)
+                    continue
+                # at one node the value at z = r is numpy's pairwise sum of
+                # the scaled terms, where the loop added them left to right
+                scaled = (c[..., None, :] if r.ndim else c) * r[..., None] ** np.arange(order)
+                pairwise = np.sum(scaled, axis=-1, keepdims=True, initial=-0.0)
+                assert got.real.tobytes() == pairwise.tobytes()
+                assert not got.imag.any()
+                np.testing.assert_allclose(got, want, rtol=4 * order * EPS, atol=0.0)
+
+
+def test_sample_grid_checks_its_radii_once_and_keeps_them_read_only():
+    grid = SampleGrid((0.25, 0.5), 8)
+    coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 30))
+    assert grid.values(coeffs).tobytes() == ring_values(coeffs, grid.radii, 8).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        grid._radii[0] = 0.75
+    # a copy is checked again and keeps its own read-only radii
+    for copied in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid), copy.copy(grid)):
+        assert copied == grid and hash(copied) == hash(grid)
+        assert copied.values(coeffs).tobytes() == grid.values(coeffs).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            copied._radii[0] = 0.75
+    # any sequence of radii is kept as a tuple of floats, so the grid hashes
+    listed = SampleGrid([0.25, np.float64(0.5)], 8)
+    assert listed == grid and hash(listed) == hash(grid)
+    assert all(type(r) is float for r in listed.radii)
+    for radii in ((0.5, 1.0), (float("nan"),), ((0.25, 0.5),), 0.5):
+        with pytest.raises(ValueError, match="grid radii"):
+            SampleGrid(radii, 8)
