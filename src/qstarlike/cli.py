@@ -121,16 +121,15 @@ def _params(args) -> ClassParams:
 
 
 def _load_series(args, params: ClassParams) -> PowerSeries:
-    if args.series_file is not None:
-        text = Path(args.series_file).read_text()
-    elif args.series is not None:
-        text = args.series
-    else:
+    if args.series is None and args.series_file is None:
         return random_member(params, seed=args.seed, density=args.density)
     try:
-        data = json.loads(text)
-        return PowerSeries.from_dict(data)
-    except (json.JSONDecodeError, TypeError) as exc:
+        if args.series_file is not None:
+            text = Path(args.series_file).read_text(encoding="utf-8")
+        else:
+            text = args.series
+        return PowerSeries.from_dict(json.loads(text))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, TypeError) as exc:
         raise ValueError(f"invalid series JSON: {exc}") from None
 
 

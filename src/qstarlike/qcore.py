@@ -28,11 +28,10 @@ class ClassParams:
     trunc is at most 2**18, so no table it sizes outgrows memory.
 
     The kernel and the raw weight table for n = 2..trunc, with the lengths
-    of their finite prefixes, are built on first use by an order above
-    trunc / 2, and the order-2 weight w_2 on first use, once per object.
-    They are kept, the tables read-only, in the instance dict, outside the
-    fields: equality, hashing and dataclasses.replace ignore them, and a
-    pickled or copied object carries none and rebuilds its own."""
+    of their finite prefixes, are built once per object, on first use, and
+    kept, the tables read-only, in the instance dict, outside the fields:
+    equality, hashing and dataclasses.replace ignore them, and a pickled or
+    copied object carries none and rebuilds its own."""
 
     q: float
     lam: float = 0.0
@@ -60,29 +59,8 @@ class ClassParams:
         return ClassParams, (self.q, self.lam, self.alpha, self.k, self.trunc)
 
     @cached_property
-    def _kernel(self) -> np.ndarray:
-        return _read_only(kernel_coeffs(self.lam, self.q, self.trunc))
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        return _read_only(_weight_table(self, self._kernel))
-
-    @cached_property
-    def _finite_lengths(self) -> tuple[int, int]:
-        return _finite_prefix(self._kernel), _finite_prefix(self._weights)
-
-    @cached_property
-    def _w2(self) -> float:
-        # ([2](1+k) - k - alpha) [lam+1]: both brackets from one basic_number
-        # call, and the kernel's divisor is [1] = 1, so it is bit-identical
-        # to the table entry; an overflow is left as +inf
-        two, kernel = basic_number(np.array([2.0, self.lam + 1.0]), self.q).tolist()
-        return (two * (1.0 + self.k) - self.k - self.alpha) * kernel
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
-    return table
+    def _table(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        return _build(self, self.trunc)
 
 
 def _finite_prefix(table: np.ndarray) -> int:
@@ -137,43 +115,36 @@ def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
     return float(kernel[-1])
 
 
-def _weights_overflow(params: ClassParams) -> ValueError:
-    return ValueError(f"criterion weights overflow at k = {params.k}, lambda = {params.lam}")
-
-
-def _weight_table(params: ClassParams, kernel: np.ndarray) -> np.ndarray:
-    """([n](1+k) - k - alpha) * kernel_n for n = 2..kernel.size + 1; an
-    overflowing entry is left as +inf."""
-    bracket = basic_number(np.arange(2.0, kernel.size + 2.0), params.q)
+def _build(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Kernel and weights ([n](1+k) - k - alpha) * kernel_n for n = 2..top,
+    read-only, and the lengths of their finite prefixes; an overflowing
+    entry is left as +inf."""
+    kernel = kernel_coeffs(params.lam, params.q, top)
+    bracket = basic_number(np.arange(2.0, top + 1.0), params.q)
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = bracket * (1.0 + params.k) - params.k - params.alpha
-        return factor * kernel
+        weights = (bracket * (1.0 + params.k) - params.k - params.alpha) * kernel
+    kernel.flags.writeable = weights.flags.writeable = False
+    return kernel, weights, _finite_prefix(kernel), _finite_prefix(weights)
 
 
 def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Kernel and weights for n = 2..top, read-only, and whether every weight
-    is finite.  They are prefix slices of the params' tables, checked
-    against the recorded finite-prefix lengths, when top is more than half
-    of trunc and at most trunc, so building the tables costs at most twice
-    a build at length top; a shorter or a longer top is built fresh.  A
-    kernel entry that overflows is a ValueError naming lambda and q."""
-    if params.trunc < 2 * top <= 2 * params.trunc:
-        kernel, weights = params._kernel[: top - 1], params._weights[: top - 1]
-        finite_kernel, finite_weights = params._finite_lengths
-    else:
-        kernel = _read_only(kernel_coeffs(params.lam, params.q, top))
-        weights = _read_only(_weight_table(params, kernel))
-        finite_kernel, finite_weights = _finite_prefix(kernel), _finite_prefix(weights)
+    is finite.  A top up to trunc reads prefix slices of the params' tables,
+    checked against their finite-prefix lengths; a longer top, a given
+    series longer than trunc, is built fresh.  A kernel entry that overflows
+    is a ValueError naming lambda and q."""
+    table = params._table if top <= params.trunc else _build(params, top)
+    kernel, weights, finite_kernel, finite_weights = table
     if finite_kernel < top - 1:
         raise _kernel_overflow(params.lam, params.q)
-    return kernel, weights, finite_weights >= top - 1
+    return kernel[: top - 1], weights[: top - 1], finite_weights >= top - 1
 
 
 def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarray:
     """Weights ([n](1+k) - k - alpha) * kernel_n multiplying |a_n| in the
     sufficient membership condition, for n = 2..order (default trunc):
-    read-only, a slice of the params' table for an order above trunc / 2 and
-    at most trunc, and bit-identical to a fresh build either way.
+    read-only, a slice of the params' table for an order up to trunc, and
+    bit-identical to a fresh build at that order.
 
     Strictly positive under the parameter domain, since
     [n] >= 1 + q > 1 >= (k + alpha) / (1 + k).  Only the slice asked for is
@@ -183,19 +154,14 @@ def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarr
     """
     _, weights, finite = _tables(params, params.trunc if order is None else order)
     if not finite:
-        raise _weights_overflow(params)
+        raise ValueError(f"criterion weights overflow at k = {params.k}, lambda = {params.lam}")
     return weights
 
 
 def criterion_weight(n: int, params: ClassParams) -> float:
     """Weight of |a_n| in the membership condition, n >= 2: the last entry
-    of criterion_weights(params, order=n).  w_2 is the params' closed form
-    ([2](1+k) - k - alpha) [lam+1], built once per object and bit-identical
-    to the table entry.  An overflow is the table's ValueError."""
+    of criterion_weights(params, order=n), so w_2 is the table's first
+    entry.  An overflow is the table's ValueError."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if n > 2:
-        return float(criterion_weights(params, order=n)[-1])
-    if not math.isfinite(params._w2):
-        raise _weights_overflow(params)
-    return params._w2
+    return float(criterion_weights(params, order=n)[-1])

@@ -122,9 +122,8 @@ DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 class SampleGrid:
     """Deterministic disc sampling: equally spaced angles on a set of radii.
     The radii are checked once, here, and kept as a tuple of Python floats,
-    which equality and hashing read, and as a read-only float array outside
-    the fields, which values() hands to the ring unchecked; a pickled or
-    copied grid is checked again and keeps its own."""
+    which equality and hashing read and values() hands to the ring
+    unchecked."""
 
     radii: tuple[float, ...] = DEFAULT_RADII
     n_angles: int = 64
@@ -135,18 +134,13 @@ class SampleGrid:
             raise ValueError("grid radii must lie in (0, 1)")
         if self.n_angles < 1:
             raise ValueError("n_angles must be positive")
-        radii.flags.writeable = False
         object.__setattr__(self, "radii", tuple(radii.tolist()))
-        object.__setattr__(self, "_radii", radii)
-
-    def __reduce__(self):
-        return SampleGrid, (self.radii, self.n_angles)
 
     def values(self, coeffs) -> np.ndarray:
         """Values of a real ascending coefficient sequence, or a stack of
         them, from one ring call: one row per grid radius, the closed upper
         half of its ring, as ring_values gives them."""
-        return _ring(np.asarray(coeffs, dtype=float), self._radii, self.n_angles)
+        return _ring(np.asarray(coeffs, dtype=float), np.array(self.radii), self.n_angles)
 
 
 def poly_eval(coeffs, z):

@@ -104,6 +104,7 @@ def cases() -> dict[str, list[str]]:
         "error_series_and_file": ["membership", "--series", MEMBER_05, "--series-file", "x.json"],
         "error_series_file_missing": ["membership", "--series-file", "no/such/series.json"],
         "error_series_json": ["membership", "--series", "{not json"],
+        "error_series_nested": ["membership", "--series", "[" * 100000],
         "error_series_key": ["membership", "--series", '{"coeffs":[0.5]}'],
         "error_series_sign": ["membership", "--series", '{"sign":"down","coeffs":[0.5]}'],
         "error_series_negative_minus": ["membership", "--series",

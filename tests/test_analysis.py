@@ -29,7 +29,7 @@ from qstarlike import (
     wilf_sequence,
 )
 from qstarlike.analysis import sweep_to_csv
-from qstarlike.qcore import criterion_weight, criterion_weights
+from qstarlike.qcore import criterion_weight
 from qstarlike.series import ring_values
 
 NEAR_ONE = 1.0 - 1.0e-6
@@ -354,29 +354,6 @@ def test_subordination_verdict_is_the_real_part_bound():
         reports += 1
     assert reports >= 300
     assert outcomes == {True, False}
-
-
-def test_subordination_report_builds_no_weight_table(monkeypatch):
-    # c, -1/(2c) and the sharpness minimum read only w_2, whose closed form
-    # in criterion_weight needs no criterion_weights table
-    from qstarlike import qcore
-
-    p = ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=256)
-    f = random_member(p, seed=3)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return criterion_weights(*args, **kwargs)
-
-    monkeypatch.setattr(qcore, "criterion_weights", counted)
-    report = subordination_report(f, p)
-    assert calls == []
-    assert report.constant == subordination_constant(p)
-    assert calls == []
-    # the order-3 weight still comes from the table
-    criterion_weight(3, p)
-    assert len(calls) == 1
 
 
 def test_one_params_object_builds_its_kernel_once(monkeypatch):

@@ -477,6 +477,27 @@ def test_series_json_shape_error_names_the_shape(capsys, series, message):
 
 
 @pytest.mark.parametrize(
+    "source, message",
+    [
+        ("nested", "maximum recursion depth exceeded"),
+        ("not-utf8", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ],
+)
+def test_undecodable_series_is_a_usage_error(capsys, tmp_path, source, message):
+    # JSON nested past the parser's depth and a file that is not UTF-8 are
+    # series JSON errors, not tracebacks
+    if source == "nested":
+        argv = ["--series", "[" * 100000]
+    else:
+        path = tmp_path / "series.json"
+        path.write_bytes(b'\xff{"sign":"minus","coeffs":[0.5]}')
+        argv = ["--series-file", str(path)]
+    code, out, err = run_cli(capsys, "membership", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid series JSON: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "series, message",
     [
         ('{"sign":"bogus","coeffs":[0.5]}', 'sign must be "plus" or "minus", got "bogus"'),

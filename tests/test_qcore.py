@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstarlike import qcore
 from qstarlike.classes import criterion_min_margin
 from qstarlike.qcore import (
     ClassParams,
@@ -327,10 +326,11 @@ def test_params_accepts_limit_q():
 
 
 def test_order_two_weight_is_bit_identical_to_the_table():
-    # criterion_weight(2, p) is a closed form; it must equal the first table
-    # entry exactly, over the documented domain: q log-uniform near 0,
-    # uniform, or log-uniform near 1, lam + 1 log-spaced from 1e-3 to 1001,
-    # alpha up to 0.999 and k zero or log-uniform up to 1e300
+    # w_2 is the table's first entry; it must equal ([2](1+k) - k - alpha)
+    # [lam+1], both brackets from one basic_number call, exactly, over the
+    # documented domain: q log-uniform near 0, uniform, or log-uniform near
+    # 1, lam + 1 log-spaced from 1e-3 to 1001, alpha up to 0.999 and k zero
+    # or log-uniform up to 1e300
     rng = np.random.default_rng(2024)
     for _ in range(2000):
         edge = int(rng.integers(3))
@@ -347,14 +347,17 @@ def test_order_two_weight_is_bit_identical_to_the_table():
             alpha=float(rng.uniform(0.0, 0.999)),
             k=float(k),
         )
-        assert criterion_weight(2, p) == criterion_weights(p, order=2)[0], p
+        two, bracket = basic_number(np.array([2.0, p.lam + 1.0]), p.q).tolist()
+        assert criterion_weights(p, order=2)[0] == (two * (1.0 + p.k) - p.k - p.alpha) * bracket, p
     # an order-2 weight that overflows is the table's ValueError, word for word
     p = ClassParams(q=0.9, k=1e308)
-    with pytest.raises(ValueError) as closed:
+    two, bracket = basic_number(np.array([2.0, p.lam + 1.0]), p.q).tolist()
+    assert (two * (1.0 + p.k) - p.k - p.alpha) * bracket == math.inf
+    with pytest.raises(ValueError) as single:
         criterion_weight(2, p)
     with pytest.raises(ValueError) as table:
         criterion_weights(p, order=2)
-    assert str(closed.value) == str(table.value) == "criterion weights overflow at k = 1e+308, lambda = 0.0"
+    assert str(single.value) == str(table.value) == "criterion weights overflow at k = 1e+308, lambda = 0.0"
 
 
 def fresh_weights(p: ClassParams, n: int) -> np.ndarray:
@@ -385,12 +388,14 @@ def test_table_slices_are_bit_identical_to_a_fresh_build():
     # of its own length bit for bit, over the documented domain: q
     # log-uniform near 0, uniform, or log-uniform near 1, lam in (-1, 50],
     # alpha up to 0.999, k zero or log-uniform up to 1e300, trunc 2 to 4096,
-    # plus a weight and a kernel overflow, and an order above trunc
+    # plus a weight and a kernel overflow, an order above trunc and a short
+    # order of the largest trunc
     rng = np.random.default_rng(1313)
     cases = [
         (ClassParams(q=0.5, k=1e308, trunc=64), (2, 3, 64)),
         (ClassParams(q=0.999999, lam=1000.0, trunc=2000), (2, 50, 2000)),
         (ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=16), (2, 8, 9, 16, 40)),
+        (ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=2**18), (8,)),
     ]
     for _ in range(300):
         edge = int(rng.integers(3))
@@ -433,7 +438,9 @@ def test_table_slices_are_bit_identical_to_a_fresh_build():
 def test_params_builds_each_table_once_and_copies_carry_none():
     p = ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=32)
     weights = criterion_weights(p)
-    assert criterion_weights(p, order=17).base is weights.base
+    for order in (2, 8, 17):
+        assert criterion_weights(p, order=order).base is weights.base
+    w2 = criterion_weight(2, p)
     for copied in (
         pickle.loads(pickle.dumps(p)),
         copy.deepcopy(p),
@@ -441,48 +448,12 @@ def test_params_builds_each_table_once_and_copies_carry_none():
         dataclasses.replace(p),
     ):
         assert copied == p and hash(copied) == hash(p)
-        assert "_kernel" not in vars(copied) and "_weights" not in vars(copied)
+        assert "_table" not in vars(copied)
+        assert criterion_weight(2, copied) == w2
         rebuilt = criterion_weights(copied)
         assert rebuilt.tobytes() == weights.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             rebuilt[0] = 1.0
-
-
-def test_w2_is_the_closed_form_built_once_per_params(monkeypatch):
-    p = ClassParams(q=0.3, lam=0.5, alpha=0.25, k=1.5)
-    two, bracket = basic_number(np.array([2.0, p.lam + 1.0]), p.q).tolist()
-    want = (two * (1.0 + p.k) - p.k - p.alpha) * bracket
-    assert criterion_weight(2, p) == want == criterion_weights(p, order=2)[0]
-    assert vars(p)["_w2"] == want
-    # later reads compute nothing
-    calls = []
-    monkeypatch.setattr(qcore, "basic_number", lambda *args: calls.append(args))
-    assert criterion_weight(2, p) == want and not calls
-    monkeypatch.undo()
-    criterion_weights(p)
-    for copied in (
-        pickle.loads(pickle.dumps(p)),
-        copy.deepcopy(p),
-        copy.copy(p),
-        dataclasses.replace(p),
-    ):
-        assert not {"_w2", "_finite_lengths", "_kernel", "_weights"} & set(vars(copied))
-        assert criterion_weight(2, copied) == want
-
-
-def test_an_order_up_to_half_of_trunc_leaves_the_tables_unbuilt():
-    # a short given series at a large trunc must not pay for the whole table
-    p = ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=2**18)
-    f = PowerSeries([0.5] * 7, Sign.MINUS)
-    assert criterion_weights(p, order=8).tobytes() == fresh_weights(p, 8).tobytes()
-    assert criterion_weight(8, p) == fresh_weights(p, 8)[-1]
-    assert ruscheweyh(f, p).coeffs == ruscheweyh(f, ClassParams(q=0.5, lam=1.0, trunc=8)).coeffs
-    assert "_kernel" not in vars(p) and "_weights" not in vars(p)
-    half = ClassParams(q=0.5, lam=1.0, trunc=32)
-    criterion_weights(half, order=16)
-    assert "_kernel" not in vars(half)
-    criterion_weights(half, order=17)
-    assert "_kernel" in vars(half) and "_weights" in vars(half)
 
 
 def test_returned_weight_slices_are_read_only():
