@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .classes import Verdict, _extremal_coeff, coefficient_test
-from .qcore import ClassParams, criterion_weight
+from .qcore import _MAX_ORDER, ClassParams, _is_count, criterion_weight
 from .series import PowerSeries, SampleGrid, Sign, _ring, ring_values
 
 # Multiplicative slack for lhs <= rhs comparisons between circle integrals.
@@ -41,16 +41,17 @@ _SUBORDINATION_GRID = SampleGrid(WILF_RADII + (0.999,), 512)
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Circle-integral setup: node count, radius, and modulus exponent.
-    nodes is at most 2**20, the default for a series of the largest trunc."""
+    nodes is an integer of at most default_nodes(_MAX_ORDER), 2**20, the
+    default for a series of the largest order."""
 
     nodes: int = 256
     r: float = 0.5
     eta: float = 2.0
 
     def __post_init__(self) -> None:
-        n = self.nodes
-        if not 16 <= n <= 2**20 or n & (n - 1):
-            raise ValueError(f"nodes must be a power of two in [16, {2**20}], got {n}")
+        n, top = self.nodes, default_nodes(_MAX_ORDER)
+        if not (_is_count(n) and 16 <= n <= top) or n & (n - 1):
+            raise ValueError(f"nodes must be a power of two in [16, {top}], got {n}")
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {self.r}")
         if not self.eta > 0.0:

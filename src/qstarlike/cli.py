@@ -13,9 +13,10 @@ Series may be passed inline (--series) or from a file (--series-file), not
 both, as {"sign": "plus"|"minus", "coeffs": [a2, a3, ...]}; membership needs
 one, and the other commands fall back to a seeded random member without one.
 
-Exit codes: 0 verified/pass, 1 numerical verification failure, 2 usage or
-parameter error, 141 when the reader closes stdout early.  Identical
-invocations produce byte-identical output.
+Each command returns its document and its verdict; main prints the
+document and decides the exit code: 0 verified/pass, 1 numerical
+verification failure, 2 usage or parameter error, 141 when the reader
+closes stdout early.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(p)
     add_format(p, "csv")
     add_series(p)
-    p.add_argument("--r-list", default="0.25,0.5,0.75,0.95")
-    p.add_argument("--eta-list", default="0.5,1,2,3")
+    p.add_argument("--r-list", type=_float_list, default="0.25,0.5,0.75,0.95")
+    p.add_argument("--eta-list", type=_float_list, default="0.5,1,2,3")
     p.add_argument("--nodes", type=int, default=None, help=NODES_HELP)
 
     return parser
@@ -133,14 +134,6 @@ def _load_series(args, params: ClassParams) -> PowerSeries:
         raise ValueError(f"invalid series JSON: {exc}") from None
 
 
-def _emit(doc: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2, allow_nan=False))
-    else:
-        for key, value in doc.items():
-            print(f"{key}: {value}")
-
-
 def _certified_member(args) -> tuple[ClassParams, PowerSeries, bool]:
     """Class parameters, series, and whether the series passes the
     coefficient test; an uncertified series is refused unless
@@ -160,41 +153,33 @@ def _nodes(args, f: PowerSeries) -> int:
     return default_nodes(f.order) if args.nodes is None else args.nodes
 
 
-def cmd_membership(args) -> int:
+def cmd_membership(args) -> tuple[dict, bool]:
     params = _params(args)
     f = _load_series(args, params)
     report = coefficient_test(f, params)
-    _emit(report.to_dict(), args.format)
-    return 0 if report.verdict is Verdict.SUFFICIENT_PASS else 1
+    return report.to_dict(), report.verdict is Verdict.SUFFICIENT_PASS
 
 
-def cmd_extremal(args) -> int:
-    params = _params(args)
-    f = extremal_function(args.n, params)
-    _emit(f.to_dict(), args.format)
-    return 0
+def cmd_extremal(args) -> tuple[dict, bool]:
+    return extremal_function(args.n, _params(args)).to_dict(), True
 
 
-def cmd_integral_means(args) -> int:
+def cmd_integral_means(args) -> tuple[dict, bool]:
     params, f, certified = _certified_member(args)
     nodes = _nodes(args, f)
     (row,) = sweep_integral_means(f, params, (args.r,), (args.eta,), nodes)
     doc = {"r": row.r, "eta": row.eta, "nodes": nodes, "lhs": row.lhs, "rhs": row.rhs}
     doc.update(margin=row.margin, certified=certified, holds=row.holds)
-    _emit(doc, args.format)
-    return 0 if row.holds else 1
+    return doc, row.holds
 
 
-def cmd_subordination(args) -> int:
+def cmd_subordination(args) -> tuple[dict, bool]:
     params, f, certified = _certified_member(args)
     report = subordination_report(f, params)
-    doc = asdict(report)
-    doc["certified"] = certified
-    _emit(doc, args.format)
-    return 0 if report.holds else 1
+    return {**asdict(report), "certified": certified}, report.holds
 
 
-def cmd_limit_check(args) -> int:
+def cmd_limit_check(args) -> tuple[dict, bool]:
     worst_kernel = 0.0
     for lam in (0, 1, 2, 3):
         exact = np.array([math.comb(n + lam - 1, n - 1) for n in range(2, 13)], dtype=float)
@@ -214,39 +199,47 @@ def cmd_limit_check(args) -> int:
         rel = np.abs(poly_eval(dq, z) - ref) / np.abs(ref)
         worst_deriv = max(worst_deriv, float(np.max(rel)))
 
-    _emit({
+    return {
         "kernel_max_rel_err": worst_kernel,
         "kernel_tol": KERNEL_LIMIT_TOL,
         "q_derivative_max_rel_err": worst_deriv,
         "q_derivative_tol": DERIVATIVE_LIMIT_TOL,
-    }, args.format)
-    return 0 if worst_kernel <= KERNEL_LIMIT_TOL and worst_deriv <= DERIVATIVE_LIMIT_TOL else 1
+    }, worst_kernel <= KERNEL_LIMIT_TOL and worst_deriv <= DERIVATIVE_LIMIT_TOL
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _float_list(text: str) -> list[float]:
+    """The value of --r-list or --eta-list, for argparse."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"{flag} expects comma-separated floats, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects comma-separated floats, got {text!r}") from None
     if not values:
-        raise ValueError(f"{flag} must name at least one value")
+        raise argparse.ArgumentTypeError("must name at least one value")
     return values
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[dict | str, bool]:
+    """The JSON document, or for csv and human the rendered text."""
     params, f, _ = _certified_member(args)
-    r_values = _parse_float_list(args.r_list, "--r-list")
-    eta_values = _parse_float_list(args.eta_list, "--eta-list")
     nodes = _nodes(args, f)
-    rows = sweep_integral_means(f, params, r_values, eta_values, nodes)
+    rows = sweep_integral_means(f, params, args.r_list, args.eta_list, nodes)
+    holds = all(row.holds for row in rows)
+    if args.format == "json":
+        return {"nodes": nodes, "rows": [row._asdict() for row in rows]}, holds
     if args.format == "csv":
-        print(sweep_to_csv(rows), end="")
-    elif args.format == "json":
-        _emit({"nodes": nodes, "rows": [row._asdict() for row in rows]}, "json")
+        return sweep_to_csv(rows), holds
+    lines = (" ".join(f"{key}={value}" for key, value in row._asdict().items()) for row in rows)
+    return "".join(line + "\n" for line in lines), holds
+
+
+def _emit(doc: dict | str, fmt: str) -> None:
+    if isinstance(doc, str):
+        print(doc, end="")
+    elif fmt == "json":
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
-        for row in rows:
-            print(" ".join(f"{key}={value}" for key, value in row._asdict().items()))
-    return 0 if all(row.holds for row in rows) else 1
+        for key, value in doc.items():
+            print(f"{key}: {value}")
 
 
 def main(argv=None) -> int:
@@ -256,9 +249,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.run(args)
+        doc, ok = args.run(args)
+        _emit(doc, args.format)
         sys.stdout.flush()
-        return code
+        return 0 if ok else 1
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141

@@ -20,12 +20,21 @@ import numpy as np
 Q_MIN = 1.0e-6
 Q_MAX = 1.0 - 1.0e-6
 
+# The largest trunc, series order and table order: no table or ring that an
+# order sizes outgrows memory.
+_MAX_ORDER = 2**18
+
+
+def _is_count(value) -> bool:
+    """Whether value is an integer, a numpy one included; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class ClassParams:
     """Parameter tuple (q, lam, alpha, k) of the starlike class, plus trunc,
     the order of generated members; a given series keeps its own order.
-    trunc is at most 2**18, so no table it sizes outgrows memory.
+    trunc is an integer of at most _MAX_ORDER.
 
     The kernel and the raw weight table for n = 2..trunc, with the lengths
     of their finite prefixes, are built once per object, on first use, and
@@ -52,8 +61,10 @@ class ClassParams:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if not math.isfinite(self.k):
             raise ValueError(f"k must be finite, got {self.k}")
-        if not 2 <= self.trunc <= 2**18:
-            raise ValueError(f"trunc must lie in [2, {2**18}], got {self.trunc}")
+        if not _is_count(self.trunc):
+            raise ValueError(f"trunc must be an integer, got {self.trunc!r}")
+        if not 2 <= self.trunc <= _MAX_ORDER:
+            raise ValueError(f"trunc must lie in [2, {_MAX_ORDER}], got {self.trunc}")
 
     def __reduce__(self):
         return ClassParams, (self.q, self.lam, self.alpha, self.k, self.trunc)
@@ -131,8 +142,11 @@ def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, bool
     """Kernel and weights for n = 2..top, read-only, and whether every weight
     is finite.  A top up to trunc reads prefix slices of the params' tables,
     checked against their finite-prefix lengths; a longer top, a given
-    series longer than trunc, is built fresh.  A kernel entry that overflows
-    is a ValueError naming lambda and q."""
+    series longer than trunc, is built fresh.  A top outside [1, _MAX_ORDER]
+    is a ValueError before anything is built, and so is a kernel entry that
+    overflows, naming lambda and q."""
+    if not 1 <= top <= _MAX_ORDER:
+        raise ValueError(f"order must lie in [1, {_MAX_ORDER}], got {top!r}")
     table = params._table if top <= params.trunc else _build(params, top)
     kernel, weights, finite_kernel, finite_weights = table
     if finite_kernel < top - 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import basic_number
+from .qcore import _MAX_ORDER, _is_count, basic_number
 
 
 class Sign(enum.Enum):
@@ -33,24 +33,26 @@ class Sign(enum.Enum):
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """coeffs is a tuple of Python floats; equality and hashing read it and
-    sign alone.  The coefficients are checked once, here, and the series
-    keeps its signed tail as a read-only array, which tail() returns and
-    full() reads.  The order is at most 2**18, the trunc ceiling, so no
-    table or ring a series sizes outgrows memory."""
+    """coeffs is a tuple of Python floats and sign a Sign; equality and
+    hashing read them alone.  The coefficients are checked once, here, and
+    the series keeps its signed tail as a read-only array, which tail()
+    returns and full() reads.  The order is at most qcore's _MAX_ORDER, the
+    trunc ceiling."""
 
     coeffs: tuple[float, ...]
     sign: Sign = Sign.PLUS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.sign, Sign):
+            raise TypeError(f"sign must be a Sign, got {self.sign!r}")
         try:
             arr = np.array(self.coeffs, dtype=float)
         except OverflowError:  # an int beyond the float range
             raise ValueError("series coefficients must be finite") from None
         if arr.ndim != 1:
             raise TypeError("series coefficients must be a flat sequence of numbers")
-        if arr.size + 1 > 2**18:
-            raise ValueError(f"series order must be at most {2**18}, got {arr.size + 1}")
+        if arr.size + 1 > _MAX_ORDER:
+            raise ValueError(f"series order must be at most {_MAX_ORDER}, got {arr.size + 1}")
         if not np.isfinite(arr).all():
             raise ValueError("series coefficients must be finite")
         if self.sign is Sign.MINUS and (arr < 0.0).any():
@@ -120,10 +122,10 @@ DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Deterministic disc sampling: equally spaced angles on a set of radii.
-    The radii are checked once, here, and kept as a tuple of Python floats,
-    which equality and hashing read and values() hands to the ring
-    unchecked."""
+    """Deterministic disc sampling: n_angles equally spaced angles, a
+    positive integer, on a nonempty set of radii.  The radii are checked
+    once, here, and kept as a tuple of Python floats, which equality and
+    hashing read and values() hands to the ring unchecked."""
 
     radii: tuple[float, ...] = DEFAULT_RADII
     n_angles: int = 64
@@ -132,8 +134,10 @@ class SampleGrid:
         radii = np.array(self.radii, dtype=float)
         if radii.ndim != 1 or not np.all((0.0 < radii) & (radii < 1.0)):
             raise ValueError("grid radii must lie in (0, 1)")
-        if self.n_angles < 1:
-            raise ValueError("n_angles must be positive")
+        if not radii.size:
+            raise ValueError(f"grid radii must name at least one radius, got {self.radii!r}")
+        if not (_is_count(self.n_angles) and self.n_angles >= 1):
+            raise ValueError(f"n_angles must be a positive integer, got {self.n_angles!r}")
         object.__setattr__(self, "radii", tuple(radii.tolist()))
 
     def values(self, coeffs) -> np.ndarray:
@@ -162,9 +166,11 @@ def ring_values(coeffs, r, nodes: int) -> np.ndarray:
     bit-identical to its own single-sequence, single-radius call.  c_n r^n
     is added into bin n mod nodes, exact at the nodes-th roots of unity, so
     any order is accepted; one real FFT per row of the bins gives the
-    conjugate values.  The arguments are checked here; _ring does the work."""
+    conjugate values.  The arguments are checked here, nodes as an integer;
+    _ring does the work."""
     radii = np.asarray(r, dtype=float)
-    if not (nodes >= 1 and radii.ndim <= 1 and np.all((0.0 <= radii) & (radii < 1.0))):
+    if not (_is_count(nodes) and nodes >= 1 and radii.ndim <= 1
+            and np.all((0.0 <= radii) & (radii < 1.0))):
         raise ValueError(f"a ring needs 0 <= r < 1 and nodes >= 1, got r={r}, nodes={nodes}")
     return _ring(np.asarray(coeffs, dtype=float), radii, nodes)
 

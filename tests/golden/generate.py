@@ -9,8 +9,9 @@ Regenerate a case only when a change means to alter its output, and record
 the diff in CHANGES.md.  ``--check`` writes nothing: it names each case whose
 exit code or stdout is no longer byte-identical, says how it moved (exit
 code, text between numbers, how many numbers moved and the largest relative
-move), and exits 1 if there is one.  ``test_golden.py`` replays the corpus to
-a tolerance with the same number tokenizer, and remains the gate.
+move), and exits 1 if there is one; a case with no golden file yet is
+reported as new.  ``test_golden.py`` replays the corpus to a tolerance with
+the same number tokenizer, and remains the gate.
 """
 
 from __future__ import annotations
@@ -154,21 +155,30 @@ def write_cases(names: list[str]) -> None:
 
 def moved_cases(names: list[str]) -> dict[str, str]:
     """Cases whose exit code or stdout differs byte for byte from the corpus,
-    each with a description of the move."""
+    each with a description of the move, and cases with no golden file."""
     table = cases()
     moved = {}
     for name in names or sorted(table):
-        golden = json.loads((GOLDEN / f"{name}.json").read_text())
+        path = GOLDEN / f"{name}.json"
+        if not path.exists():
+            moved[name] = "new case, no golden file yet"
+            continue
+        golden = json.loads(path.read_text())
         old, new = (golden["exit_code"], golden["stdout"]), run(table[name])
         if new != old:
             moved[name] = describe_move(old, new)
     return moved
 
 
+def check(names: list[str]) -> int:
+    """Print one line per moved or new case; the exit code of --check."""
+    moved = moved_cases(names)
+    for name, move in moved.items():
+        print(f"{name}: {move}")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--check"]:
-        moved = moved_cases(sys.argv[2:])
-        for name, move in moved.items():
-            print(f"{name}: {move}")
-        sys.exit(1 if moved else 0)
+        sys.exit(check(sys.argv[2:]))
     write_cases(sys.argv[1:])

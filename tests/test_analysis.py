@@ -68,8 +68,9 @@ def test_quadrature_config_validation():
     with pytest.raises(ValueError, match="^eta must be finite"):
         QuadratureConfig(eta=np.inf)
     QuadratureConfig(nodes=2**20)
-    with pytest.raises(ValueError, match=r"^nodes must be a power of two in \[16, 1048576\]"):
-        QuadratureConfig(nodes=2**21)
+    for nodes in (2**21, 256.0, True):
+        with pytest.raises(ValueError, match=rf"^nodes must be a power of two in \[16, 1048576\], got {nodes}$"):
+            QuadratureConfig(nodes=nodes)
 
 
 def test_default_nodes():

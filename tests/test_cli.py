@@ -519,12 +519,43 @@ def test_negative_seed_is_a_usage_error_naming_seed(capsys, command):
 
 
 def test_sweep_rejects_bad_list(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "sweep", "--q", "0.5", "--r-list", "a,b", "--format", "csv",
-    )
-    assert code == 2
-    assert "--r-list" in err
+    # the parser reads the lists, so a bad one is refused with the usage
+    # line before any series is loaded, even one that fails certification
+    oversized = ["--series", '{"sign":"minus","coeffs":[2.0]}']
+    for series in ([], oversized):
+        for flag, value, message in (
+            ("--r-list", "a,b", "expects comma-separated floats, got 'a,b'"),
+            ("--eta-list", ",", "must name at least one value"),
+        ):
+            code, out, err = run_cli(
+                capsys, "sweep", "--q", "0.5", *series, flag, value, "--format", "csv",
+            )
+            assert (code, out) == (2, ""), (series, flag)
+            assert err.startswith("usage: qstarlike sweep"), (series, flag)
+            assert err.endswith(f"qstarlike sweep: error: argument {flag}: {message}\n")
+
+
+def test_main_alone_prints_each_document_and_decides_the_exit_code():
+    # every command returns (document, verdict); cli.main is the one caller
+    # of _emit and the one place that maps a verdict to 0 or 1
+    import ast
+    import inspect
+
+    from qstarlike import cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    callers = {
+        name for name, node in functions.items()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_emit"
+    }
+    assert callers == {"main"}
+    for name, node in functions.items():
+        if name.startswith("cmd_"):
+            calls = {getattr(c.func, "id", None) for c in ast.walk(node) if isinstance(c, ast.Call)}
+            assert "print" not in calls, name
+            assert node.returns is not None and ast.unparse(node.returns).startswith("tuple["), name
 
 
 def test_identical_argv_identical_output(capsys):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from golden import generate
 from golden.generate import describe_move, split_numbers
 from qstarlike.cli import main
 
@@ -39,6 +40,22 @@ def test_describe_move_on_synthetic_stdouts():
         "exit 0 -> 0, text changed, 0 of 3 numbers moved, largest relative move 0"
     )
     assert describe_move((0, old), (0, "a: 0.25\n")).endswith("text changed, 3 -> 1 numbers")
+
+
+def test_check_reports_a_case_without_a_golden_file_as_new(tmp_path, monkeypatch, capsys):
+    # a case named in cases() before its file is written is one line of
+    # --check output, not a FileNotFoundError
+    argv = ["limit-check", "--format", "json"]
+    monkeypatch.setattr(generate, "GOLDEN", tmp_path)
+    monkeypatch.setattr(generate, "cases", lambda: {"limit_check": argv, "brand_new": argv})
+    generate.write_cases(["limit_check"])
+    capsys.readouterr()
+    assert generate.check([]) == 1
+    assert capsys.readouterr().out == "brand_new: new case, no golden file yet\n"
+    generate.write_cases(["brand_new"])
+    capsys.readouterr()
+    assert generate.check([]) == 0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("path", CASES, ids=lambda p: p.stem)

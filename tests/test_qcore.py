@@ -311,11 +311,16 @@ def test_weights_finite_where_kernel_products_overflow(q, lam, trunc):
         {"q": 0.5, "k": math.inf},
         {"q": 0.5, "k": math.nan},
         {"q": 0.5, "trunc": 2**18 + 1},
+        {"q": 0.5, "trunc": 64.0},
+        {"q": 0.5, "trunc": True},
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ClassParams(**kwargs)
+    if type(kwargs.get("trunc", 0)) is not int:
+        with pytest.raises(ValueError, match=rf"^trunc must be an integer, got {kwargs['trunc']}$"):
+            ClassParams(**kwargs)
 
 
 def test_params_accepts_limit_q():
@@ -454,6 +459,17 @@ def test_params_builds_each_table_once_and_copies_carry_none():
         assert rebuilt.tobytes() == weights.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             rebuilt[0] = 1.0
+
+
+@pytest.mark.parametrize("order", [0, -1, 2**18 + 1])
+def test_an_order_outside_the_table_ceiling_is_refused_before_any_build(order):
+    # a slice [: order - 1] at order 0 would read 62 weights at trunc 64,
+    # and an order far above the ceiling would allocate its whole table
+    p = ClassParams(q=0.5)
+    with pytest.raises(ValueError, match=rf"^order must lie in \[1, 262144\], got {order}$"):
+        criterion_weights(p, order=order)
+    assert "_table" not in vars(p)
+    assert criterion_weights(p, order=1).size == 0
 
 
 def test_returned_weight_slices_are_read_only():

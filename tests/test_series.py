@@ -90,6 +90,12 @@ def test_series_rejects_nested_coefficients():
 def test_minus_convention_requires_nonnegative():
     with pytest.raises(ValueError):
         PowerSeries((0.5, -0.1), Sign.MINUS)
+    # the sign is a Sign: a string "minus" would be read as PLUS and let a
+    # negative coefficient through
+    for coeffs in ((0.1,), (-0.1,)):
+        for sign in ("minus", "plus", None):
+            with pytest.raises(TypeError, match=rf"^sign must be a Sign, got {sign!r}$"):
+                PowerSeries(coeffs, sign)
 
 
 def test_series_json_round_trip():
@@ -217,8 +223,9 @@ def test_sample_grid():
         SampleGrid((1.0,), 8)
     with pytest.raises(ValueError):
         SampleGrid((0.0,), 8)
-    with pytest.raises(ValueError):
-        SampleGrid((0.5,), 0)
+    for n_angles in (0, 2.5, True):
+        with pytest.raises(ValueError, match=rf"^n_angles must be a positive integer, got {n_angles}$"):
+            SampleGrid((0.5,), n_angles)
 
 
 def ring(r: float, nodes: int) -> np.ndarray:
@@ -311,8 +318,9 @@ def test_ring_values_rejects_radius_outside_disc(r):
 
 
 def test_ring_values_rejects_empty_ring():
-    with pytest.raises(ValueError, match="nodes"):
-        ring_values([0.0, 1.0], 0.5, 0)
+    for nodes in (0, 2.5, True):
+        with pytest.raises(ValueError, match="nodes"):
+            ring_values([0.0, 1.0], 0.5, nodes)
 
 
 @settings(max_examples=80, deadline=None)
@@ -450,6 +458,6 @@ def test_sample_grid_checks_its_radii_once_and_keeps_them_read_only():
     assert listed == grid and hash(listed) == hash(grid)
     assert type(listed.radii) is tuple and all(type(r) is float for r in listed.radii)
     assert vars(listed) == {"radii": (0.25, 0.5), "n_angles": 8}
-    for radii in ((0.5, 1.0), (float("nan"),), ((0.25, 0.5),), 0.5):
+    for radii in ((0.5, 1.0), (float("nan"),), ((0.25, 0.5),), 0.5, (), []):
         with pytest.raises(ValueError, match="grid radii"):
             SampleGrid(radii, 8)
