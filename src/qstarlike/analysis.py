@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .classes import Verdict, _extremal_coeff, coefficient_test
+from .classes import _extremal_coeff, coefficient_test
 from .qcore import _MAX_ORDER, ClassParams, _is_count, criterion_weight
 from .series import PowerSeries, SampleGrid, Sign, _ring, ring_values
 
@@ -141,7 +141,7 @@ def verify_integral_means(
     f: PowerSeries, params: ClassParams, cfg: QuadratureConfig
 ) -> IntegralMeansComparison:
     """The single (cfg.r, cfg.eta) cell of sweep_integral_means."""
-    certified = coefficient_test(f, params).verdict is Verdict.SUFFICIENT_PASS
+    certified = coefficient_test(f, params).holds
     (row,) = sweep_integral_means(f, params, (cfg.r,), (cfg.eta,), cfg.nodes)
     return IntegralMeansComparison(row.lhs, row.rhs, certified, row.holds)
 

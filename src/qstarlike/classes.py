@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import ClassParams, _tables, criterion_weight, criterion_weights
+from .qcore import ClassParams, _is_count, _tables, criterion_weight, criterion_weights
 from .series import PowerSeries, SampleGrid, Sign, _q_derivative
 
 # |R f(z)| below this is no longer trusted in double precision; the ratio
@@ -38,10 +38,10 @@ class MembershipReport:
     """Outcome of the sufficient coefficient test.
 
     coefficient_sum is sum of weight_n * |a_n|, budget is 1 - alpha, and
-    margin = budget - coefficient_sum; the verdict passes iff margin >= 0.
-    The report keeps the weight and contribution arrays, outside equality
-    and hashing, and per_term lists (n, weight_n, contribution_n) from them
-    on first read, for inspection.
+    margin = budget - coefficient_sum; the verdict passes iff margin >= 0,
+    and holds is whether it passed.  The report keeps the weight and
+    contribution arrays, outside equality and hashing, and per_term lists
+    (n, weight_n, contribution_n) from them on first read, for inspection.
     """
 
     coefficient_sum: float
@@ -50,6 +50,10 @@ class MembershipReport:
     verdict: Verdict
     _weights: np.ndarray = field(repr=False, compare=False)
     _contributions: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def holds(self) -> bool:
+        return self.verdict is Verdict.SUFFICIENT_PASS
 
     @cached_property
     def per_term(self) -> tuple[tuple[int, float, float], ...]:
@@ -143,8 +147,9 @@ def criterion_min_margin(
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """numpy's generator for seed; a negative seed is a ValueError naming it."""
-    if seed < 0:
+    """numpy's generator for seed; a seed that is not a non-negative integer,
+    a bool included, is a ValueError naming it."""
+    if not (_is_count(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
@@ -158,7 +163,7 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
     on the budget (margin 0); the same seed always returns the same series.
     Weights so large that the scale falls below the normal float range,
     where it loses precision, are a ValueError naming the parameters, and so
-    is a negative seed.
+    is a seed that is not a non-negative integer.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")

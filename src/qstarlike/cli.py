@@ -12,6 +12,8 @@ Usage:
 Series may be passed inline (--series) or from a file (--series-file), not
 both, as {"sign": "plus"|"minus", "coeffs": [a2, a3, ...]}; membership needs
 one, and the other commands fall back to a seeded random member without one.
+Each of the four tests its series once: membership reports a failure, and
+the other three refuse an uncertified series unless --allow-uncertified.
 
 Each command returns its document and its verdict; main prints the
 document and decides the exit code: 0 verified/pass, 1 numerical
@@ -37,7 +39,7 @@ from .analysis import (
     sweep_integral_means,
     sweep_to_csv,
 )
-from .classes import Verdict, _generator, coefficient_test, extremal_function, random_member
+from .classes import MembershipReport, _generator, coefficient_test, extremal_function, random_member
 from .qcore import Q_MAX, ClassParams, kernel_coeffs
 from .series import PowerSeries, poly_eval, q_derivative
 
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--allow-uncertified", action="store_true", help=FORCED_HELP)
 
     p = sub.add_parser("membership", help="run the sufficient coefficient test")
-    p.set_defaults(run=cmd_membership)
+    p.set_defaults(run=cmd_membership, allow_uncertified=True)
     add_params(p)
     add_format(p)
     add_series(p, required=True)
@@ -134,19 +136,20 @@ def _load_series(args, params: ClassParams) -> PowerSeries:
         raise ValueError(f"invalid series JSON: {exc}") from None
 
 
-def _certified_member(args) -> tuple[ClassParams, PowerSeries, bool]:
-    """Class parameters, series, and whether the series passes the
-    coefficient test; an uncertified series is refused unless
-    --allow-uncertified is given, before any other work is done."""
+def _certified_member(args) -> tuple[ClassParams, PowerSeries, MembershipReport]:
+    """Class parameters, series, and its coefficient test report, before any
+    other work is done.  An uncertified series is refused unless
+    allow_uncertified is set: by --allow-uncertified, or by default for
+    membership, which reports the failure."""
     params = _params(args)
     f = _load_series(args, params)
-    certified = coefficient_test(f, params).verdict is Verdict.SUFFICIENT_PASS
-    if not certified and not args.allow_uncertified:
+    report = coefficient_test(f, params)
+    if not report.holds and not args.allow_uncertified:
         raise ValueError(
-            f"series fails the coefficient test, so the {args.command} "
-            "hypothesis is uncertified (use --allow-uncertified to force)"
+            f"series fails the coefficient test with margin {report.margin}, so the "
+            f"{args.command} hypothesis is uncertified (use --allow-uncertified to force)"
         )
-    return params, f, certified
+    return params, f, report
 
 
 def _nodes(args, f: PowerSeries) -> int:
@@ -154,10 +157,8 @@ def _nodes(args, f: PowerSeries) -> int:
 
 
 def cmd_membership(args) -> tuple[dict, bool]:
-    params = _params(args)
-    f = _load_series(args, params)
-    report = coefficient_test(f, params)
-    return report.to_dict(), report.verdict is Verdict.SUFFICIENT_PASS
+    _, _, report = _certified_member(args)
+    return report.to_dict(), report.holds
 
 
 def cmd_extremal(args) -> tuple[dict, bool]:
@@ -165,18 +166,18 @@ def cmd_extremal(args) -> tuple[dict, bool]:
 
 
 def cmd_integral_means(args) -> tuple[dict, bool]:
-    params, f, certified = _certified_member(args)
+    params, f, certification = _certified_member(args)
     nodes = _nodes(args, f)
     (row,) = sweep_integral_means(f, params, (args.r,), (args.eta,), nodes)
     doc = {"r": row.r, "eta": row.eta, "nodes": nodes, "lhs": row.lhs, "rhs": row.rhs}
-    doc.update(margin=row.margin, certified=certified, holds=row.holds)
+    doc.update(margin=row.margin, certified=certification.holds, holds=row.holds)
     return doc, row.holds
 
 
 def cmd_subordination(args) -> tuple[dict, bool]:
-    params, f, certified = _certified_member(args)
+    params, f, certification = _certified_member(args)
     report = subordination_report(f, params)
-    return {**asdict(report), "certified": certified}, report.holds
+    return {**asdict(report), "certified": certification.holds}, report.holds
 
 
 def cmd_limit_check(args) -> tuple[dict, bool]:

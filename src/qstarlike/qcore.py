@@ -25,6 +25,12 @@ Q_MAX = 1.0 - 1.0e-6
 _MAX_ORDER = 2**18
 
 
+def _check_q(q: float) -> None:
+    """The q domain, stated once: q in [Q_MIN, Q_MAX], else a ValueError."""
+    if not Q_MIN <= q <= Q_MAX:
+        raise ValueError(f"q must lie in [{Q_MIN:g}, {Q_MAX}], got {q}")
+
+
 def _is_count(value) -> bool:
     """Whether value is an integer, a numpy one included; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -49,8 +55,7 @@ class ClassParams:
     trunc: int = 64
 
     def __post_init__(self) -> None:
-        if not Q_MIN <= self.q <= Q_MAX:
-            raise ValueError(f"q must lie in [{Q_MIN:g}, {Q_MAX}], got {self.q}")
+        _check_q(self.q)
         if not self.lam > -1.0:
             raise ValueError(f"lambda must be > -1, got {self.lam}")
         if not math.isfinite(self.lam):
@@ -111,21 +116,6 @@ def kernel_coeffs(lam: float, q: float, top: int) -> np.ndarray:
     return kernel
 
 
-def _kernel_overflow(lam: float, q: float) -> ValueError:
-    return ValueError(f"kernel coefficient overflows at lambda = {lam}, q = {q}")
-
-
-def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
-    """Coefficient of z**n in the Ruscheweyh convolution kernel, n >= 2:
-    the last entry of kernel_coeffs(lam, q, n), a ValueError if it overflows."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    kernel = kernel_coeffs(lam, q, n)
-    if not np.isfinite(kernel).all():
-        raise _kernel_overflow(lam, q)
-    return float(kernel[-1])
-
-
 def _build(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Kernel and weights ([n](1+k) - k - alpha) * kernel_n for n = 2..top,
     read-only, and the lengths of their finite prefixes; an overflowing
@@ -142,16 +132,25 @@ def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, bool
     """Kernel and weights for n = 2..top, read-only, and whether every weight
     is finite.  A top up to trunc reads prefix slices of the params' tables,
     checked against their finite-prefix lengths; a longer top, a given
-    series longer than trunc, is built fresh.  A top outside [1, _MAX_ORDER]
-    is a ValueError before anything is built, and so is a kernel entry that
-    overflows, naming lambda and q."""
-    if not 1 <= top <= _MAX_ORDER:
+    series longer than trunc, is built fresh.  A top that is not an integer
+    in [1, _MAX_ORDER] is a ValueError before anything is built, and so is a
+    kernel entry that overflows, naming lambda and q."""
+    if not (_is_count(top) and 1 <= top <= _MAX_ORDER):
         raise ValueError(f"order must lie in [1, {_MAX_ORDER}], got {top!r}")
     table = params._table if top <= params.trunc else _build(params, top)
     kernel, weights, finite_kernel, finite_weights = table
     if finite_kernel < top - 1:
-        raise _kernel_overflow(params.lam, params.q)
+        raise ValueError(f"kernel coefficient overflows at lambda = {params.lam}, q = {params.q}")
     return kernel[: top - 1], weights[: top - 1], finite_weights >= top - 1
+
+
+def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
+    """Coefficient of z**n in the Ruscheweyh convolution kernel, n >= 2:
+    the order-n entry of the table of ClassParams(q, lam), which checks q
+    and lambda; a kernel that overflows is the table's ValueError."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    return float(_tables(ClassParams(q=q, lam=lam), n)[0][-1])
 
 
 def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarray:

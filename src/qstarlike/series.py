@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import _MAX_ORDER, _is_count, basic_number
+from .qcore import _MAX_ORDER, _check_q, _is_count, basic_number
 
 
 class Sign(enum.Enum):
@@ -206,11 +206,14 @@ def q_derivative(f: PowerSeries, q: float) -> np.ndarray:
     The result is the sequence (1, [2] c_2, ..., [N] c_N) placed at powers
     z^0..z^{N-1}.  Evaluated at any z != 0 it reproduces the difference
     quotient (f(z) - f(qz)) / ((1-q) z) exactly, both being finite sums; the
-    constant term is the z -> 0 value f'(0) = 1.
+    constant term is the z -> 0 value f'(0) = 1.  q is checked as ClassParams
+    checks it.
     """
+    _check_q(q)
     return _q_derivative(f.full(), q)
 
 
 def _q_derivative(c: np.ndarray, q: float) -> np.ndarray:
-    """q_derivative on the ascending coefficients c of a series."""
+    """q_derivative on the ascending coefficients c of a series and a q
+    already checked, as a ClassParams' q is."""
     return basic_number(np.arange(1.0, len(c)), q) * c[1:]

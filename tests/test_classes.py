@@ -193,8 +193,11 @@ def test_per_term_is_built_on_first_read():
 
 
 def test_random_member_refuses_a_negative_seed():
-    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
-        random_member(ClassParams(q=0.5), seed=-1)
+    # and a seed that is not an integer: numpy would refuse 1.5 in its own
+    # words and take True as seed 1
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed}$"):
+            random_member(ClassParams(q=0.5), seed=seed)
 
 
 def stacked_min_margin(f, params, grid=SampleGrid()):

@@ -168,6 +168,8 @@ def test_integral_means_uncertified_needs_override(capsys):
     code, _, err = run_cli(capsys, *fixture)
     assert code == 2
     assert "uncertified" in err
+    # the refusal names the margin: 1 - [2] * 2.0 with [2] = 1.9 at q = 0.9
+    assert "fails the coefficient test with margin -2.8000000000000003" in err
 
     code, out, _ = run_cli(capsys, *fixture, "--allow-uncertified")
     assert code == 1  # forced run exposes the violation
@@ -314,7 +316,10 @@ def test_huge_k_overflowing_the_weights_is_a_usage_error(capsys):
     ],
 )
 def test_integral_means_runs_the_coefficient_test_once(capsys, monkeypatch, series):
-    from qstarlike import analysis, cli
+    # and so does every command that tests a series: membership takes the
+    # seeded member as given (a pass), and reports the forced series'
+    # failure with no flag
+    from qstarlike import ClassParams, analysis, cli, random_member
 
     calls = []
 
@@ -327,9 +332,17 @@ def test_integral_means_runs_the_coefficient_test_once(capsys, monkeypatch, seri
 
     for module in (cli, analysis):
         monkeypatch.setattr(module, "coefficient_test", counting(module.coefficient_test))
-    code, _, _ = run_cli(capsys, "integral-means", *series, "--format", "json")
-    assert code in (0, 1)
-    assert len(calls) == 1
+    if "--seed" in series:
+        member = random_member(ClassParams(q=0.5), seed=7).to_dict()
+        membership = ["--series", json.dumps(member)]
+    else:
+        membership = series[:-1]
+    for command, argv in [("integral-means", series), ("subordination", series),
+                          ("sweep", series), ("membership", membership)]:
+        calls.clear()
+        code, _, _ = run_cli(capsys, command, *argv, "--format", "json")
+        assert code == (0 if "--seed" in series else 1), command
+        assert len(calls) == 1, command
 
 
 def test_integral_means_default_nodes_follow_trunc(capsys):

@@ -130,6 +130,16 @@ def test_ruscheweyh_coeff_classical_limit_binomial():
             )
 
 
+@pytest.mark.parametrize(
+    "n, lam, q", [(3, 1.0, 2.0), (3, -1.5, 0.5), (3, math.nan, 0.5), (3, 0.0, 1.0)]
+)
+def test_ruscheweyh_coeff_checks_q_and_lambda_as_class_params_does(n, lam, q):
+    # the kernel outside the domain is a number with no meaning: 7.0 at
+    # q = 2, -0.32 at lambda = -1.5; at q = 1 every bracket is 0 / 0
+    with pytest.raises(ValueError, match=r"^(q must lie in|lambda must be)"):
+        ruscheweyh_coeff(n, lam, q)
+
+
 def test_criterion_weight_values():
     near_classical = ClassParams(q=NEAR_ONE)
     assert criterion_weight(2, near_classical) == pytest.approx(2.0, abs=1e-5)
@@ -461,10 +471,11 @@ def test_params_builds_each_table_once_and_copies_carry_none():
             rebuilt[0] = 1.0
 
 
-@pytest.mark.parametrize("order", [0, -1, 2**18 + 1])
+@pytest.mark.parametrize("order", [0, -1, 2**18 + 1, 2.5, True])
 def test_an_order_outside_the_table_ceiling_is_refused_before_any_build(order):
     # a slice [: order - 1] at order 0 would read 62 weights at trunc 64,
-    # and an order far above the ceiling would allocate its whole table
+    # an order far above the ceiling would allocate its whole table, and a
+    # float order would reach the slice as a numpy TypeError
     p = ClassParams(q=0.5)
     with pytest.raises(ValueError, match=rf"^order must lie in \[1, 262144\], got {order}$"):
         criterion_weights(p, order=order)

@@ -129,6 +129,14 @@ def test_q_derivative_classical_limit():
     assert val.real == pytest.approx(0.7, abs=1e-5)
 
 
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0, float("nan")])
+def test_q_derivative_checks_q_as_class_params_does(q):
+    # unchecked, q = 1 divides 0 by 0, q = 2 returns a derivative with no
+    # meaning, and q = 0 fails in math.log
+    with pytest.raises(ValueError, match="q must lie in"):
+        q_derivative(PowerSeries((0.5,), Sign.MINUS), q)
+
+
 def test_q_derivative_difference_quotient_identity():
     rng = np.random.default_rng(11)
     n_index = np.arange(2.0, 34.0)
