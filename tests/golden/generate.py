@@ -95,6 +95,10 @@ def cases() -> dict[str, list[str]]:
                                                   "--eta", "2", "--format", "json"],
         "sweep_trunc512_default_nodes": ["sweep", "--trunc", "512", "--seed", "9",
                                          "--format", "json"],
+        # f(0.5) = 0: a ring value of exactly zero, whose |f|^eta is exactly 0
+        "sweep_zero_on_ring": ["sweep", "--series", '{"sign":"plus","coeffs":[-2.0]}',
+                               "--allow-uncertified", "--r-list", "0.5", "--eta-list", "0.5,2",
+                               "--format", "json"],
         # q away from 0.5
         "extremal_q09": ["extremal", "--n", "5", "--q", "0.9", "--lambda", "2.5", "--alpha",
                          "0.25", "--k", "1.5", "--trunc", "8", "--format", "json"],
