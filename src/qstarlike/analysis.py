@@ -13,8 +13,12 @@ Circle values come from series.ring_values, one real FFT per radius over the
 closed upper half ring; real coefficients make the lower half its conjugate
 mirror, so the half carries every extremum and, with node weights
 1, 2, ..., 2, 1, the trapezoid rule, which is spectrally accurate for these
-smooth 2*pi-periodic integrands.  Sums are plain numpy pairwise sums with a
-fixed order, so results are reproducible run to run.
+smooth 2*pi-periodic integrands.  A circle integral works from the
+log-modulus: log|f| is taken once per ring, and each eta integrates
+exp(eta log|f|) = |f|^eta, so a zero of f on the ring, log 0 = -inf, is the
+exact 0.  Sums are plain numpy pairwise sums along the ring, one per eta and
+row, so results are reproducible run to run and a row of a batch is
+bit-identical to its own single call.
 """
 
 from __future__ import annotations
@@ -65,24 +69,47 @@ def default_nodes(order: int) -> int:
     return 1 << (max(256, 4 * order) - 1).bit_length()
 
 
-def _circle_integral(modulus: np.ndarray, eta: float):
-    """Trapezoid integral of modulus**eta over a full turn from the closed upper
-    half ring (last axis): node weights 1, 2, ..., 2, 1 times 2 pi / nodes."""
-    with np.errstate(over="ignore"):
-        powered = modulus**eta
-        weighted = np.sum(powered, axis=-1) + np.sum(powered[..., 1:-1], axis=-1)
-    if not np.isfinite(weighted).all():
-        raise ValueError("the circle integral overflows; coefficients are too large")
-    integral = weighted * (np.pi / (powered.shape[-1] - 1))
-    if (integral < np.finfo(float).tiny).any():
-        raise ValueError("the circle integral underflows; eta is too large for the radius")
-    return integral
+def _log_modulus(values: np.ndarray) -> np.ndarray:
+    """log|values|, with log 0 = -inf and no warning."""
+    modulus = np.abs(values)
+    with np.errstate(divide="ignore"):
+        return np.log(modulus, out=modulus)
+
+
+def _circle_integral(
+    log_modulus: np.ndarray, etas: Sequence[float], radii: float | Sequence[float]
+) -> np.ndarray:
+    """Trapezoid integrals of |f|^eta = exp(eta log|f|) over a full turn, one
+    per eta, from log|f| on the closed upper half ring (last axis): shape
+    (len(etas),) + log_modulus.shape[:-1].  The node weights 1, 2, ..., 2, 1
+    are 2 sum - ends, times 2 pi / nodes; log 0 = -inf gives exactly 0.
+    radii, broadcast against the rows, names the circle of a refusal: an
+    integral beyond the double range overflows, one below its normal range
+    underflows."""
+    buf = np.empty_like(log_modulus)
+    out = np.empty((len(etas),) + buf.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, eta in enumerate(etas):
+            np.multiply(log_modulus, eta, out=buf)
+            np.exp(buf, out=buf)
+            out[j] = 2.0 * buf.sum(axis=-1) - buf[..., 0] - buf[..., -1]
+    out *= np.pi / (buf.shape[-1] - 1)
+    overflow, underflow = ~np.isfinite(out), out < np.finfo(float).tiny
+    for failed, word in ((overflow, "overflows"), (underflow, "underflows")):
+        if failed.any():
+            j, *row = np.argwhere(failed)[0]
+            r = float(np.broadcast_to(radii, out.shape[1:])[tuple(row)])
+            raise ValueError(f"the circle integral {word} at r = {r}, eta = {etas[j]}")
+    return out
 
 
 def integral_means(f: PowerSeries, cfg: QuadratureConfig) -> float:
     """Trapezoidal value of the integral of |f(r e^{i theta})|^eta over a full
-    turn of cfg.nodes uniform nodes; it converges spectrally in the node count."""
-    return float(_circle_integral(np.abs(ring_values(f.full(), cfg.r, cfg.nodes)), cfg.eta))
+    turn of cfg.nodes uniform nodes, as exp(eta log|f|) from the ring's
+    log-modulus; it converges spectrally in the node count.  An integral
+    outside the normal float range is a ValueError naming r and eta."""
+    log_modulus = _log_modulus(ring_values(f.full(), cfg.r, cfg.nodes))
+    return float(_circle_integral(log_modulus, (cfg.eta,), cfg.r)[0])
 
 
 class SweepRow(NamedTuple):
@@ -106,16 +133,16 @@ def sweep_integral_means(
 ) -> list[SweepRow]:
     """Integral-means comparison over an (r, eta) grid; nodes is required and
     margin = rhs - lhs.  f_2 enters in closed form, (0, 1, -a) with the
-    coefficient of extremal_function(2); |f| and |f_2| come from one
-    ring_values call for all radii, zero-padded to a common order, and each
-    eta integrates both in one pass."""
+    coefficient of extremal_function(2); log|f| and log|f_2| come from one
+    ring call for all radii, zero-padded to a common order, and one circle
+    integral call integrates both for every eta."""
     radii = [QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values]
     etas = [QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values]
     stacked = np.zeros((2, max(f.order + 1, 3)))
     stacked[0, : f.order + 1] = f.full()
     stacked[1, :3] = (0.0, 1.0, -_extremal_coeff(2, params))
-    mods = np.abs(_ring(stacked, np.array(radii), nodes))
-    sides = [_circle_integral(mods, eta).tolist() for eta in etas]
+    log_modulus = _log_modulus(_ring(stacked, np.array(radii), nodes))
+    sides = _circle_integral(log_modulus, etas, radii).tolist()
     return [
         SweepRow(r, eta, lhs[i], rhs[i], rhs[i] - lhs[i])
         for i, r in enumerate(radii)

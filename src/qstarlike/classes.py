@@ -16,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import ClassParams, _is_count, _tables, criterion_weight, criterion_weights
-from .series import PowerSeries, SampleGrid, Sign, _q_derivative
+from .qcore import (ClassParams, _check_count, _is_count, _tables, basic_number,
+                    criterion_weight, criterion_weights)
+from .series import PowerSeries, SampleGrid, Sign
 
 # |R f(z)| below this is no longer trusted in double precision; the ratio
 # defining the criterion is reported as degenerate instead of evaluated.
@@ -107,8 +108,7 @@ def extremal_function(n: int, params: ClassParams) -> PowerSeries:
     coefficient bound sharp; the nudged coefficient of _extremal_coeff keeps
     the member a PASS.
     """
-    if not 2 <= n <= params.trunc:
-        raise ValueError(f"n must lie in [2, trunc={params.trunc}], got {n}")
+    _check_count("n", n, 2, params.trunc)
     coeffs = np.zeros(params.trunc - 1)
     coeffs[n - 2] = _extremal_coeff(n, params)
     return PowerSeries(coeffs, Sign.MINUS)
@@ -126,9 +126,13 @@ def criterion_min_margin(
     result does not depend on evaluation order.
 
     R f, the Ruscheweyh transform, scales each tail coefficient by the
-    kernel coefficient [lam+1]_{n-1} / [n-1]! from the params' table; R f
-    and z D_q R f are written as the two rows of one array.  A kernel or R f
-    coefficient beyond the double range is a ValueError.
+    kernel coefficient [lam+1]_{n-1} / [n-1]! from the params' table.  W - 1
+    is d = Dn / R f, where Dn = z D_q R f - R f has the coefficients
+    ([n] - 1) r_n = q [n-1] r_n of its own, so nothing cancels, and the
+    margin is 1 + Re d - alpha - k |d|: at a large k, where |d| is about
+    1 / k, a subtraction W - 1 would leave k eps of rounding.  R f and Dn
+    are the two rows of one array.  A kernel or R f coefficient beyond the
+    double range is a ValueError.
     """
     rows = np.zeros((2, f.order + 1))
     rows[0, 1] = 1.0
@@ -136,14 +140,15 @@ def criterion_min_margin(
         np.multiply(f.tail(), _tables(params, f.order)[0], out=rows[0, 2:])
     if not np.isfinite(rows[0]).all():
         raise ValueError("series coefficients must be finite")
-    rows[1, 1:] = _q_derivative(rows[0], params.q)
-    den, num = grid.values(rows)
+    q = params.q
+    rows[1, 2:] = q * basic_number(np.arange(1.0, f.order), q) * rows[0, 2:]
+    den, dn = grid.values(rows)
     if np.min(np.abs(den)) < DEGENERATE_TOL:
         raise DegenerateDenominatorError(
             "Ruscheweyh transform vanishes at a sample point"
         )
-    w = num / den
-    return float(np.min(w.real - params.alpha - params.k * np.abs(w - 1.0)))
+    d = dn / den
+    return float(np.min(1.0 + d.real - params.alpha - params.k * np.abs(d)))
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -161,12 +166,20 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
     drawn uniform on (0, 1), then the whole tail is rescaled so the weighted
     coefficient sum equals density * (1 - alpha).  density = 1 lands exactly
     on the budget (margin 0); the same seed always returns the same series.
-    Weights so large that the scale falls below the normal float range,
-    where it loses precision, are a ValueError naming the parameters, and so
-    is a seed that is not a non-negative integer.
+    A density so small that density * (1 - alpha) falls below the normal
+    float range is a ValueError naming the density; weights so large that
+    the scale falls below that range, where it loses precision, are one
+    naming the parameters, and so is a seed that is not a non-negative
+    integer.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
+    target = density * (1.0 - params.alpha)
+    if target < np.finfo(float).tiny:
+        raise ValueError(
+            f"density = {density} is too small: density * (1 - alpha) = {target} "
+            "is below the normal float range"
+        )
     rng = _generator(seed)
     m = params.trunc - 1
     weights = criterion_weights(params)
@@ -176,7 +189,6 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
         if not mask.any():
             mask[int(rng.integers(m))] = True
         mags = np.where(mask, rng.random(m), 0.0)
-    target = density * (1.0 - params.alpha)
     with np.errstate(over="ignore"):
         scale = target / float(np.sum(weights * mags))
     # back off by ulps until the recomputed sum cannot exceed the target,

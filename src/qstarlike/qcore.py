@@ -36,6 +36,15 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, low: int, high: int) -> None:
+    """value is an integer in [low, high], else a ValueError naming it: a
+    value that is not an integer is told so apart from one out of range."""
+    if not _is_count(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Parameter tuple (q, lam, alpha, k) of the starlike class, plus trunc,
@@ -66,10 +75,7 @@ class ClassParams:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if not math.isfinite(self.k):
             raise ValueError(f"k must be finite, got {self.k}")
-        if not _is_count(self.trunc):
-            raise ValueError(f"trunc must be an integer, got {self.trunc!r}")
-        if not 2 <= self.trunc <= _MAX_ORDER:
-            raise ValueError(f"trunc must lie in [2, {_MAX_ORDER}], got {self.trunc}")
+        _check_count("trunc", self.trunc, 2, _MAX_ORDER)
 
     def __reduce__(self):
         return ClassParams, (self.q, self.lam, self.alpha, self.k, self.trunc)
@@ -133,10 +139,9 @@ def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, bool
     is finite.  A top up to trunc reads prefix slices of the params' tables,
     checked against their finite-prefix lengths; a longer top, a given
     series longer than trunc, is built fresh.  A top that is not an integer
-    in [1, _MAX_ORDER] is a ValueError before anything is built, and so is a
-    kernel entry that overflows, naming lambda and q."""
-    if not (_is_count(top) and 1 <= top <= _MAX_ORDER):
-        raise ValueError(f"order must lie in [1, {_MAX_ORDER}], got {top!r}")
+    in [1, _MAX_ORDER] is a ValueError naming the order before anything is
+    built, and so is a kernel entry that overflows, naming lambda and q."""
+    _check_count("order", top, 1, _MAX_ORDER)
     table = params._table if top <= params.trunc else _build(params, top)
     kernel, weights, finite_kernel, finite_weights = table
     if finite_kernel < top - 1:
@@ -147,9 +152,9 @@ def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, bool
 def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
     """Coefficient of z**n in the Ruscheweyh convolution kernel, n >= 2:
     the order-n entry of the table of ClassParams(q, lam), which checks q
-    and lambda; a kernel that overflows is the table's ValueError."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    and lambda; n must be an integer in [2, _MAX_ORDER], and a kernel that
+    overflows is the table's ValueError."""
+    _check_count("n", n, 2, _MAX_ORDER)
     return float(_tables(ClassParams(q=q, lam=lam), n)[0][-1])
 
 
@@ -174,7 +179,7 @@ def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarr
 def criterion_weight(n: int, params: ClassParams) -> float:
     """Weight of |a_n| in the membership condition, n >= 2: the last entry
     of criterion_weights(params, order=n), so w_2 is the table's first
-    entry.  An overflow is the table's ValueError."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    entry; n must be an integer in [2, _MAX_ORDER], and an overflow is the
+    table's ValueError."""
+    _check_count("n", n, 2, _MAX_ORDER)
     return float(criterion_weights(params, order=n)[-1])

@@ -210,10 +210,5 @@ def q_derivative(f: PowerSeries, q: float) -> np.ndarray:
     checks it.
     """
     _check_q(q)
-    return _q_derivative(f.full(), q)
-
-
-def _q_derivative(c: np.ndarray, q: float) -> np.ndarray:
-    """q_derivative on the ascending coefficients c of a series and a q
-    already checked, as a ClassParams' q is."""
+    c = f.full()
     return basic_number(np.arange(1.0, len(c)), q) * c[1:]

@@ -1,7 +1,10 @@
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstarlike import (
     ClassParams,
@@ -28,9 +31,10 @@ from qstarlike import (
     wilf_positivity,
     wilf_sequence,
 )
-from qstarlike.analysis import sweep_to_csv
+from qstarlike.analysis import _circle_integral, _log_modulus, sweep_to_csv
 from qstarlike.qcore import criterion_weight
 from qstarlike.series import ring_values
+from reference import circle_integral
 
 NEAR_ONE = 1.0 - 1.0e-6
 
@@ -47,6 +51,18 @@ def parseval_value(f: PowerSeries, r: float) -> float:
     coeffs = f.full()
     powers = np.arange(len(coeffs))
     return float(2.0 * np.pi * np.sum(coeffs**2 * r ** (2 * powers)))
+
+
+def integral_tolerance(eta: float, log_modulus: np.ndarray) -> np.ndarray:
+    """Relative distance allowed, per ring, between an integral from the
+    log-modulus and the pow reference: 8 eps (2 + eta max|log m| + log2
+    nodes).  exp turns the rounding of eta log m, relative eps, into a
+    relative error of eta |log m| eps; log, exp and pow add a few ulps; and
+    each pairwise sum adds about log2 nodes roundings.  A log m of -inf is
+    a node of value exactly 0 in both and adds no error."""
+    finite = np.where(np.isfinite(log_modulus), np.abs(log_modulus), 0.0)
+    nodes = 2 * (log_modulus.shape[-1] - 1)
+    return 8.0 * np.finfo(float).eps * (2.0 + eta * np.max(finite, axis=-1) + np.log2(nodes))
 
 
 def circle_mean(fn, r: float, eta: float, nodes: int) -> float:
@@ -136,6 +152,62 @@ def test_integral_means_self_convergence():
     coarse = integral_means(f, QuadratureConfig(nodes=2048, r=0.9, eta=1.0))
     fine = integral_means(f, QuadratureConfig(nodes=4096, r=0.9, eta=1.0))
     assert abs(coarse - fine) / fine < 1e-10
+
+
+def test_circle_integral_matches_the_pow_reference():
+    # members and random series, radii up to 0.999 and eta up to 40, at the
+    # smallest, the benchmark's and a larger node count
+    rng = np.random.default_rng(2121)
+    radii = np.array([0.1, 0.5, 0.9, 0.999])
+    etas = (0.01, 0.5, 1.0, 2.0, 3.7, 12.0, 40.0)
+    checked = 0
+    for p in MEMBER_PARAMS[::6] + [ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=64)]:
+        n = np.arange(2.0, p.trunc + 1.0)
+        stack = np.stack((random_member(p, seed=int(rng.integers(2**31))).full(),
+                          PowerSeries(rng.uniform(-1.0, 1.0, n.size) / n**2).full()))
+        for nodes in (16, 4096, 2**14):
+            ring = ring_values(stack, radii, nodes)
+            log_modulus = _log_modulus(ring)
+            got = _circle_integral(log_modulus, etas, radii)
+            assert got.shape == (len(etas), 2, radii.size)
+            for eta, integral in zip(etas, got):
+                want = circle_integral(np.abs(ring), eta)
+                assert np.all(np.abs(integral - want) <= integral_tolerance(eta, log_modulus) * want)
+                checked += want.size
+    assert checked == 7 * 3 * len(etas) * 2 * radii.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    nodes=st.sampled_from([2**e for e in range(4, 13)]),
+    radii=st.lists(st.floats(0.01, 0.999), min_size=1, max_size=4),
+    etas=st.lists(st.floats(0.01, 40.0), min_size=1, max_size=4),
+)
+def test_batched_integrals_equal_single_calls_bit_for_bit(seed, nodes, radii, etas):
+    # the sweep integrates every radius and eta of f and f_2 from one stack;
+    # each row must be the single-circle value exactly, whatever the batch
+    # shape, so f = f_2 gives lhs == rhs in every row
+    p = ClassParams(q=0.5, lam=1.0, trunc=64)
+    f, f2 = random_member(p, seed), extremal_function(2, p)
+    for row in sweep_integral_means(f, p, radii, etas, nodes):
+        cfg = QuadratureConfig(nodes=nodes, r=row.r, eta=row.eta)
+        assert (row.lhs, row.rhs) == (integral_means(f, cfg), integral_means(f2, cfg))
+    assert all(row.lhs == row.rhs for row in sweep_integral_means(f2, p, radii, etas, nodes))
+
+
+def test_a_zero_on_the_ring_integrates_without_a_warning():
+    # f(z) = z - 2 z^2 vanishes at z = 0.5, the first node of the r = 0.5
+    # ring: log 0 = -inf, and exp(-inf) = 0 is the exact 0**eta
+    f = PowerSeries((-2.0,))
+    ring = ring_values(f.full(), 0.5, 256)
+    assert ring[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta in (0.5, 2.0):
+            got = integral_means(f, QuadratureConfig(nodes=256, r=0.5, eta=eta))
+            want = circle_integral(np.abs(ring), eta)
+            assert abs(got - want) <= integral_tolerance(eta, _log_modulus(ring)) * want
 
 
 def test_verify_integral_means_reflexive_case():

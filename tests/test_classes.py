@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qstarlike import (
     ClassParams,
@@ -14,8 +17,8 @@ from qstarlike import (
 )
 from qstarlike.analysis import WILF_RADII
 from qstarlike.classes import DEGENERATE_TOL, DegenerateDenominatorError
-from qstarlike.qcore import criterion_weight
-from qstarlike.series import q_derivative, ring_values
+from qstarlike.qcore import Q_MAX, Q_MIN, basic_number, criterion_weight
+from qstarlike.series import ring_values
 from reference import ruscheweyh
 
 NEAR_ONE = 1.0 - 1.0e-6
@@ -136,6 +139,79 @@ def test_criterion_margin_degenerate_denominator():
         criterion_min_margin(f, p, SampleGrid((0.8,), 1))
 
 
+def log_uniform(low: float, high: float):
+    """10**e for e uniform in [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+# the documented domain with both edges of each parameter: q toward 0, near
+# 1 or uniform; lam just above -1, in (-1, 0) or up to 50; alpha 0, uniform
+# or within 1e-12 of 1; k 0, up to 5 or up to 1e300
+DOMAIN_Q = st.one_of(log_uniform(-6.0, -1.0), log_uniform(-6.0, -1.0).map(lambda t: 1.0 - t),
+                     st.floats(Q_MIN, Q_MAX)).map(lambda q: min(max(q, Q_MIN), Q_MAX))
+DOMAIN_LAM = st.one_of(st.floats(-1.0, 0.0, exclude_min=True), st.floats(0.0, 50.0),
+                       log_uniform(-9.0, -1.0).map(lambda t: -1.0 + t))
+DOMAIN_ALPHA = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                         log_uniform(-12.0, -1.0).map(lambda t: 1.0 - t))
+DOMAIN_K = st.one_of(st.just(0.0), st.floats(0.0, 5.0), log_uniform(0.0, 300.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=DOMAIN_Q,
+    lam=DOMAIN_LAM,
+    alpha=DOMAIN_ALPHA,
+    k=DOMAIN_K,
+    trunc=st.sampled_from([2, 3, 4, 16, 64, 256, 1024]),
+    density=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    seed=st.integers(0, 2**31 - 1),
+)
+# |W - 1| is about 1 / k here, and W - 1 formed by subtraction read -1.4e-8
+@example(q=0.1, lam=-0.5, alpha=1.0 - 6.6e-10, k=1.3e8, trunc=4, density=1.0, seed=0)
+def test_criterion_margin_of_random_members_is_nonnegative_over_the_domain(
+    q, lam, alpha, k, trunc, density, seed
+):
+    # every certified member satisfies the criterion, so its grid minimum
+    # may miss 0 only by rounding; a member the weights cannot scale (an
+    # overflow or an underflow, each a ValueError) is no member
+    p = ClassParams(q=q, lam=lam, alpha=alpha, k=k, trunc=trunc)
+    try:
+        f = random_member(p, seed, density)
+    except ValueError:
+        return
+    assert criterion_min_margin(f, p) >= -1e-9
+
+
+def test_criterion_margin_at_k_1e200_matches_mpmath():
+    # at k = 1e200 the member's coefficients are about 1e-200, so W = 1 + d
+    # rounds to 1 and only d itself carries the margin; mpmath evaluates
+    # 1 + Re d - alpha - k |d| at 50 digits from the same float coefficients
+    p = ClassParams(q=0.5, lam=1.0, alpha=0.3, k=1e200, trunc=16)
+    f = random_member(p, seed=10, density=1.0)
+    grid = SampleGrid((0.6,), 4)
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    q = ctx.mpf(p.q)
+
+    def bracket(n):
+        return (1 - q**n) / (1 - q)
+
+    kernel = [ctx.mpf(1)]
+    for n in range(2, f.order + 1):
+        kernel.append(kernel[-1] * bracket(p.lam + n - 1) / bracket(n - 1))
+    r = [ctx.mpf(c) * kernel[n - 1] for n, c in enumerate(f.full()[1:], start=1)]
+    margins = []
+    for j in range(grid.n_angles // 2 + 1):
+        z = ctx.mpf(grid.radii[0]) * ctx.expjpi(ctx.mpf(2 * j) / grid.n_angles)
+        den = sum(rn * z**n for n, rn in enumerate(r, start=1))
+        dn = sum(q * bracket(n - 1) * rn * z**n for n, rn in enumerate(r, start=1))
+        d = dn / den
+        margins.append(1 + ctx.re(d) - ctx.mpf(p.alpha) - ctx.mpf(p.k) * abs(d))
+    exact = min(margins)
+    assert 0.1 < exact < 1.0 - p.alpha
+    assert criterion_min_margin(f, p, grid) == pytest.approx(float(exact), rel=1e-13)
+
+
 def test_criterion_min_margin_custom_grid():
     p = ClassParams(q=0.5, trunc=4)
     f = extremal_function(2, p)
@@ -201,16 +277,18 @@ def test_random_member_refuses_a_negative_seed():
 
 
 def stacked_min_margin(f, params, grid=SampleGrid()):
-    """criterion_min_margin built as it was before its rows were written
-    directly: R f as a PowerSeries, its q-derivative shifted by one power,
-    np.stack of the two, and one checked ring_values call."""
+    """criterion_min_margin built from separate parts rather than rows
+    written in place: R f as a PowerSeries, the series Dn = z D_q R f - R f
+    from its coefficients q [n-1] r_n, np.stack of the two, one checked
+    ring_values call, and the margin 1 + Re d - alpha - k |d| of d = Dn / R f."""
     g = ruscheweyh(f, params)
-    z_dq = np.concatenate(([0.0], q_derivative(g, params.q)))
-    den, num = ring_values(np.stack((g.full(), z_dq)), grid.radii, grid.n_angles)
+    dn = params.q * basic_number(np.arange(1.0, g.order), params.q) * g.tail()
+    den, num = ring_values(np.stack((g.full(), np.concatenate(([0.0, 0.0], dn)))),
+                           grid.radii, grid.n_angles)
     if np.min(np.abs(den)) < DEGENERATE_TOL:
         raise DegenerateDenominatorError("Ruscheweyh transform vanishes at a sample point")
-    w = num / den
-    return float(np.min(w.real - params.alpha - params.k * np.abs(w - 1.0)))
+    d = num / den
+    return float(np.min(1.0 + d.real - params.alpha - params.k * np.abs(d)))
 
 
 def margin_outcome(margin, f, params, grid):

@@ -218,6 +218,26 @@ def test_underflowing_circle_integral_is_a_usage_error(capsys, eta):
     assert "underflows" in err
 
 
+def test_overflowing_circle_integral_names_its_radius_and_eta(capsys):
+    # a certified seeded member: max|f| exceeds 1 at r = 0.99, so |f|**5000
+    # leaves the double range there; the coefficients are not at fault
+    code, out, err = run_cli(capsys, "integral-means", "--q", "0.5", "--seed", "7",
+                             "--r", "0.99", "--eta", "5000")
+    assert (code, out) == (2, "")
+    assert "the circle integral overflows at r = 0.99, eta = 5000.0" in err
+    assert "coefficients" not in err
+
+
+def test_a_density_below_the_normal_range_is_named(capsys):
+    # density * (1 - alpha) = 1e-310 is subnormal: the density is refused,
+    # not the criterion weights
+    code, out, err = run_cli(capsys, "subordination", "--q", "0.5", "--lambda", "3",
+                             "--density", "1e-310")
+    assert (code, out) == (2, "")
+    assert "error: density = 1e-310 is too small" in err
+    assert "weights" not in err
+
+
 @pytest.mark.parametrize("k", ["1e17", "1e300"])
 def test_huge_finite_k_rounds_the_factor_constant_to_one_half(capsys, k):
     # once w_2 exceeds about 2**53 (1 - alpha), c rounds to 1/2 and the

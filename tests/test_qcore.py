@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstarlike.classes import criterion_min_margin
+from qstarlike.classes import criterion_min_margin, extremal_function
 from qstarlike.qcore import (
     ClassParams,
     basic_number,
@@ -475,12 +475,30 @@ def test_params_builds_each_table_once_and_copies_carry_none():
 def test_an_order_outside_the_table_ceiling_is_refused_before_any_build(order):
     # a slice [: order - 1] at order 0 would read 62 weights at trunc 64,
     # an order far above the ceiling would allocate its whole table, and a
-    # float order would reach the slice as a numpy TypeError
+    # float order would reach the slice as a numpy TypeError; a value that
+    # is not an integer is told so, not that it lies outside the range
     p = ClassParams(q=0.5)
-    with pytest.raises(ValueError, match=rf"^order must lie in \[1, 262144\], got {order}$"):
+    if type(order) is int:
+        message = rf"^order must lie in \[1, 262144\], got {order}$"
+    else:
+        message = rf"^order must be an integer, got {order}$"
+    with pytest.raises(ValueError, match=message):
         criterion_weights(p, order=order)
     assert "_table" not in vars(p)
     assert criterion_weights(p, order=1).size == 0
+
+
+def test_a_non_integer_n_is_refused_by_name():
+    p = ClassParams(q=0.5)
+    for call in (lambda n: extremal_function(n, p), lambda n: ruscheweyh_coeff(n, 0.0, 0.5),
+                 lambda n: criterion_weight(n, p)):
+        for n in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=rf"^n must be an integer, got {n}$"):
+                call(n)
+    with pytest.raises(ValueError, match=r"^n must lie in \[2, 64\], got 65$"):
+        extremal_function(65, p)
+    with pytest.raises(ValueError, match=r"^n must lie in \[2, 262144\], got 1$"):
+        ruscheweyh_coeff(1, 0.0, 0.5)
 
 
 def test_returned_weight_slices_are_read_only():
