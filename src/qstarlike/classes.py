@@ -176,10 +176,8 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
         raise ValueError(f"density must lie in (0, 1], got {density}")
     target = density * (1.0 - params.alpha)
     if target < np.finfo(float).tiny:
-        raise ValueError(
-            f"density = {density} is too small: density * (1 - alpha) = {target} "
-            "is below the normal float range"
-        )
+        raise ValueError(f"density = {density} is too small: density * (1 - alpha) = "
+                         f"{target} is below the normal float range")
     rng = _generator(seed)
     m = params.trunc - 1
     weights = criterion_weights(params)

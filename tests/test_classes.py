@@ -166,7 +166,8 @@ DOMAIN_K = st.one_of(st.just(0.0), st.floats(0.0, 5.0), log_uniform(0.0, 300.0))
     density=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
     seed=st.integers(0, 2**31 - 1),
 )
-# |W - 1| is about 1 / k here, and W - 1 formed by subtraction read -1.4e-8
+# a budget 1 - alpha of 6.6e-10 at k = 1.3e8: |W - 1| is about 1 / k, so a
+# margin that formed W - 1 by subtraction read -1.4e-8 here
 @example(q=0.1, lam=-0.5, alpha=1.0 - 6.6e-10, k=1.3e8, trunc=4, density=1.0, seed=0)
 def test_criterion_margin_of_random_members_is_nonnegative_over_the_domain(
     q, lam, alpha, k, trunc, density, seed
@@ -209,7 +210,7 @@ def test_criterion_margin_at_k_1e200_matches_mpmath():
         margins.append(1 + ctx.re(d) - ctx.mpf(p.alpha) - ctx.mpf(p.k) * abs(d))
     exact = min(margins)
     assert 0.1 < exact < 1.0 - p.alpha
-    assert criterion_min_margin(f, p, grid) == pytest.approx(float(exact), rel=1e-13)
+    assert criterion_min_margin(f, p, grid) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
 def test_criterion_min_margin_custom_grid():
