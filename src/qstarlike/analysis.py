@@ -18,11 +18,16 @@ log-modulus: log|f| is taken once per ring, and each eta integrates
 exp(eta log|f|) = |f|^eta, so a zero of f on the ring, log 0 = -inf, is the
 exact 0.  Sums are plain numpy pairwise sums along the ring, one per eta and
 row, so results are reproducible run to run and a row of a batch is
-bit-identical to its own single call.
+bit-identical to its own single call.  That is why the sweep can ring f
+alone and keep the integrals of f_2 = z - a z^2, which depend only on a and
+the grid, in a one-entry memo keyed on (a, radii, etas, nodes): a member
+checked at the parameter set and grid of the last sweep reuses them as they
+are.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -76,16 +81,13 @@ def _log_modulus(values: np.ndarray) -> np.ndarray:
         return np.log(modulus, out=modulus)
 
 
-def _circle_integral(
-    log_modulus: np.ndarray, etas: Sequence[float], radii: float | Sequence[float]
-) -> np.ndarray:
+def _circle_integral(log_modulus: np.ndarray, etas: Sequence[float]) -> np.ndarray:
     """Trapezoid integrals of |f|^eta = exp(eta log|f|) over a full turn, one
     per eta, from log|f| on the closed upper half ring (last axis): shape
     (len(etas),) + log_modulus.shape[:-1].  The node weights 1, 2, ..., 2, 1
     are 2 sum - ends, times 2 pi / nodes; log 0 = -inf gives exactly 0.
-    radii, broadcast against the rows, names the circle of a refusal: an
-    integral beyond the double range overflows, one below its normal range
-    underflows."""
+    Nothing is refused here: an integral beyond the double range comes back
+    as inf or NaN, and _check_integrals refuses it."""
     buf = np.empty_like(log_modulus)
     out = np.empty((len(etas),) + buf.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -94,13 +96,24 @@ def _circle_integral(
             np.exp(buf, out=buf)
             out[j] = 2.0 * buf.sum(axis=-1) - buf[..., 0] - buf[..., -1]
     out *= np.pi / (buf.shape[-1] - 1)
-    overflow, underflow = ~np.isfinite(out), out < np.finfo(float).tiny
+    return out
+
+
+def _check_integrals(
+    integrals: np.ndarray, etas: Sequence[float], radii: float | Sequence[float]
+) -> np.ndarray:
+    """integrals, shape (len(etas),) + rows, once each lies in the normal
+    float range.  An integral beyond the double range overflows and one
+    below its normal range underflows, a ValueError naming the first such
+    circle in C order, overflow before underflow; radii, broadcast against
+    the rows, names its r."""
+    overflow, underflow = ~np.isfinite(integrals), integrals < np.finfo(float).tiny
     for failed, word in ((overflow, "overflows"), (underflow, "underflows")):
         if failed.any():
             j, *row = np.argwhere(failed)[0]
-            r = float(np.broadcast_to(radii, out.shape[1:])[tuple(row)])
+            r = float(np.broadcast_to(radii, integrals.shape[1:])[tuple(row)])
             raise ValueError(f"the circle integral {word} at r = {r}, eta = {etas[j]}")
-    return out
+    return integrals
 
 
 def integral_means(f: PowerSeries, cfg: QuadratureConfig) -> float:
@@ -109,7 +122,8 @@ def integral_means(f: PowerSeries, cfg: QuadratureConfig) -> float:
     log-modulus; it converges spectrally in the node count.  An integral
     outside the normal float range is a ValueError naming r and eta."""
     log_modulus = _log_modulus(ring_values(f.full(), cfg.r, cfg.nodes))
-    return float(_circle_integral(log_modulus, (cfg.eta,), cfg.r)[0])
+    integral = _circle_integral(log_modulus, (cfg.eta,))
+    return float(_check_integrals(integral, (cfg.eta,), cfg.r)[0])
 
 
 class SweepRow(NamedTuple):
@@ -132,22 +146,37 @@ def sweep_integral_means(
     nodes: int,
 ) -> list[SweepRow]:
     """Integral-means comparison over an (r, eta) grid; nodes is required and
-    margin = rhs - lhs.  f_2 enters in closed form, (0, 1, -a) with the
-    coefficient of extremal_function(2); log|f| and log|f_2| come from one
-    ring call for all radii, zero-padded to a common order, and one circle
-    integral call integrates both for every eta."""
-    radii = [QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values]
-    etas = [QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values]
-    stacked = np.zeros((2, max(f.order + 1, 3)))
-    stacked[0, : f.order + 1] = f.full()
-    stacked[1, :3] = (0.0, 1.0, -_extremal_coeff(2, params))
-    log_modulus = _log_modulus(_ring(stacked, np.array(radii), nodes))
-    sides = _circle_integral(log_modulus, etas, radii).tolist()
+    margin = rhs - lhs.  log|f| comes from one ring call for all radii and
+    one circle integral call integrates it for every eta.  The rhs is
+    _extremal_integrals of the coefficient a of extremal_function(2), the
+    same numbers for every member at one (a, radii, etas, nodes).  Both
+    sides are checked as one (eta, side, r) stack, so a refusal names the
+    first failing circle of either."""
+    radii = tuple(QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values)
+    etas = tuple(QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values)
+    log_modulus = _log_modulus(_ring(f.full(), np.array(radii), nodes))
+    extremal = _extremal_integrals(_extremal_coeff(2, params), radii, etas, nodes)
+    stacked = np.stack((_circle_integral(log_modulus, etas), extremal), axis=1)
+    sides = _check_integrals(stacked, etas, radii).tolist()
     return [
         SweepRow(r, eta, lhs[i], rhs[i], rhs[i] - lhs[i])
         for i, r in enumerate(radii)
         for (lhs, rhs), eta in zip(sides, etas)
     ]
+
+
+@functools.lru_cache(maxsize=1)
+def _extremal_integrals(
+    a: float, radii: tuple[float, ...], etas: tuple[float, ...], nodes: int
+) -> np.ndarray:
+    """Unchecked circle integrals of f_2 = z - a z^2, shape (len(etas),
+    len(radii)), read-only.  They depend on these arguments alone, and a
+    ring row is bit-identical to its own call, so the one entry kept serves
+    every member swept at one parameter set and grid."""
+    log_modulus = _log_modulus(_ring(np.array((0.0, 1.0, -a)), np.array(radii), nodes))
+    integrals = _circle_integral(log_modulus, etas)
+    integrals.flags.writeable = False
+    return integrals
 
 
 @dataclass(frozen=True)
@@ -220,16 +249,14 @@ def subordination_constant(params: ClassParams) -> float:
     Lies in (0, 1/2) and approaches 1/2 as alpha -> 1 or weight_2 grows; in
     float it rounds to 1/2 once weight_2 exceeds about 2**53 (1 - alpha).
     """
-    w2 = criterion_weight(2, params)
-    return w2 / (2.0 * (1.0 - params.alpha + w2))
+    return _constant(criterion_weight(2, params), params.alpha)
 
 
 def realpart_bound(params: ClassParams) -> float:
     """Lower bound -(1 - alpha + weight_2) / weight_2 = -1 / (2 c) for Re f on
     the disc, valid for certified members; < -1, but in float it rounds to -1
     once weight_2 exceeds about 2**53 (1 - alpha)."""
-    w2 = criterion_weight(2, params)
-    return -(1.0 - params.alpha + w2) / w2
+    return _realpart_bound(criterion_weight(2, params), params.alpha)
 
 
 def sharpness_minimum(params: ClassParams, r: float) -> float:
@@ -243,8 +270,21 @@ def sharpness_minimum(params: ClassParams, r: float) -> float:
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    w2 = criterion_weight(2, params)
-    return -r * (w2 + (1.0 - params.alpha) * r) / (2.0 * (1.0 - params.alpha + w2))
+    return _sharpness_minimum(criterion_weight(2, params), params.alpha, r)
+
+
+# The three closed forms above, of w2 = weight_2 and alpha, for a caller
+# that has read weight_2 once.
+def _constant(w2: float, alpha: float) -> float:
+    return w2 / (2.0 * (1.0 - alpha + w2))
+
+
+def _realpart_bound(w2: float, alpha: float) -> float:
+    return -(1.0 - alpha + w2) / w2
+
+
+def _sharpness_minimum(w2: float, alpha: float, r: float) -> float:
+    return -r * (w2 + (1.0 - alpha) * r) / (2.0 * (1.0 - alpha + w2))
 
 
 def min_real_part(f: PowerSeries, grid: SampleGrid = SampleGrid()) -> float:
@@ -268,13 +308,15 @@ class SubordinationReport:
 
 
 def subordination_report(f: PowerSeries, params: ClassParams) -> SubordinationReport:
-    """Subordination evidence for one member, from one sampling of Re f."""
-    c = subordination_constant(params)
+    """Subordination evidence for one member, from one sampling of Re f and
+    one read of weight_2."""
+    w2, alpha = criterion_weight(2, params), params.alpha
+    c = _constant(w2, alpha)
     min_re = min_real_part(f, _SUBORDINATION_GRID)
     return SubordinationReport(
         constant=c,
-        realpart_bound=realpart_bound(params),
+        realpart_bound=_realpart_bound(w2, alpha),
         wilf_min=1.0 + 2.0 * c * min_re,
-        sharpness_min=sharpness_minimum(params, 0.9999),
+        sharpness_min=_sharpness_minimum(w2, alpha, 0.9999),
         min_real_part=min_re,
     )

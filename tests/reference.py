@@ -14,12 +14,20 @@ before it worked from the log-modulus: numpy's power, then the node weights
 1, 2, ..., 2, 1 as the sum of every node plus the sum of the inner ones,
 times 2 pi / nodes.  It refuses nothing; overflow is silenced and an inf
 or a NaN comes back as it is.
+
+sweep_integral_means is the sweep as the package computed it before it
+kept the integrals of f_2 between calls: f and f_2 = z - a z^2 zero-padded
+to a common order as one stack, one ring call and one circle integral call
+for both, and the range check on the (eta, side, r) result.
 """
 
 import numpy as np
 
-from qstarlike import ClassParams, PowerSeries
+from qstarlike import ClassParams, PowerSeries, QuadratureConfig
+from qstarlike.analysis import SweepRow, _check_integrals, _circle_integral, _log_modulus
+from qstarlike.classes import _extremal_coeff
 from qstarlike.qcore import _tables
+from qstarlike.series import _ring
 
 
 def ruscheweyh(f: PowerSeries, params: ClassParams) -> PowerSeries:
@@ -31,3 +39,18 @@ def circle_integral(modulus: np.ndarray, eta: float) -> np.ndarray:
         powered = modulus**eta
         weighted = np.sum(powered, axis=-1) + np.sum(powered[..., 1:-1], axis=-1)
     return weighted * (np.pi / (powered.shape[-1] - 1))
+
+
+def sweep_integral_means(f, params, r_values, eta_values, nodes):
+    radii = [QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values]
+    etas = [QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values]
+    stacked = np.zeros((2, max(f.order + 1, 3)))
+    stacked[0, : f.order + 1] = f.full()
+    stacked[1, :3] = (0.0, 1.0, -_extremal_coeff(2, params))
+    log_modulus = _log_modulus(_ring(stacked, np.array(radii), nodes))
+    sides = _check_integrals(_circle_integral(log_modulus, etas), etas, radii).tolist()
+    return [
+        SweepRow(r, eta, lhs[i], rhs[i], rhs[i] - lhs[i])
+        for i, r in enumerate(radii)
+        for (lhs, rhs), eta in zip(sides, etas)
+    ]

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qstarlike import (
@@ -31,10 +31,12 @@ from qstarlike import (
     wilf_positivity,
     wilf_sequence,
 )
+from qstarlike import analysis
 from qstarlike.analysis import _circle_integral, _log_modulus, sweep_to_csv
 from qstarlike.qcore import criterion_weight
 from qstarlike.series import ring_values
 from reference import circle_integral
+from reference import sweep_integral_means as stacked_sweep
 
 NEAR_ONE = 1.0 - 1.0e-6
 
@@ -45,6 +47,13 @@ MEMBER_PARAMS = [
     for alpha in (0.0, 0.3)
     for k in (0.0, 2.0)
 ]
+
+
+@pytest.fixture(autouse=True)
+def cold_extremal_memo():
+    # the sweep keeps the integrals of f_2 from its last call; every test
+    # starts without them, so no test depends on the ones run before it
+    analysis._extremal_integrals.cache_clear()
 
 
 def parseval_value(f: PowerSeries, r: float) -> float:
@@ -168,7 +177,7 @@ def test_circle_integral_matches_the_pow_reference():
         for nodes in (16, 4096, 2**14):
             ring = ring_values(stack, radii, nodes)
             log_modulus = _log_modulus(ring)
-            got = _circle_integral(log_modulus, etas, radii)
+            got = _circle_integral(log_modulus, etas)
             assert got.shape == (len(etas), 2, radii.size)
             for eta, integral in zip(etas, got):
                 want = circle_integral(np.abs(ring), eta)
@@ -481,6 +490,100 @@ def test_sweep_rows_match_integral_means():
         assert row.margin == row.rhs - row.lhs
         cmp = verify_integral_means(f, p, cfg)
         assert (cmp.lhs, cmp.rhs, cmp.holds) == (row.lhs, row.rhs, row.holds)
+
+
+def sweep_outcome(sweep, f, params, grid):
+    """The rows of one sweep as bytes, or the message of its refusal."""
+    try:
+        return np.array(sweep(f, params, *grid)).tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+SWEEP_PARAMS = st.builds(
+    ClassParams,
+    q=st.floats(0.05, 0.95),
+    lam=st.floats(0.0, 3.0),
+    alpha=st.floats(0.0, 0.9),
+    k=st.floats(0.0, 3.0),
+    trunc=st.integers(2, 1024),
+)
+SWEEP_GRID = st.tuples(
+    st.lists(st.floats(0.01, 0.999), min_size=1, max_size=5),
+    st.lists(st.floats(0.01, 40.0), min_size=1, max_size=4),
+    st.sampled_from([2**e for e in range(4, 13)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # both sides underflow at r = 0.01, eta = 200 on the first grid
+    p1=ClassParams(q=0.5, lam=1.0, trunc=64),
+    p2=ClassParams(q=0.9, lam=0.0, alpha=0.5, trunc=2),
+    grids=[((0.01, 0.5), (2.0, 200.0), 16), ((0.5,), (2.0,), 4096)],
+    member="plus",
+    seed=0,
+)
+@given(
+    p1=SWEEP_PARAMS,
+    p2=SWEEP_PARAMS,
+    grids=st.lists(SWEEP_GRID, min_size=2, max_size=2),
+    member=st.sampled_from(["random", "extremal", "plus"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_sweep_rows_equal_the_stacked_reference_bit_for_bit(p1, p2, grids, member, seed):
+    # f_2's integrals are kept between calls; rows and refusals must be the
+    # ones of ringing f and f_2 together, on every grid, after a sweep at
+    # other parameters (p1, p2, p1) and after one on another grid.  A trunc
+    # above the node count takes the folded ring.
+    for grid in grids:
+        for p in (p1, p2, p1):
+            f = random_member(p, seed)
+            if member == "extremal":
+                f = extremal_function(2, p)
+            elif member == "plus":
+                f = PowerSeries(f.coeffs, Sign.PLUS)
+            got = sweep_outcome(sweep_integral_means, f, p, grid)
+            assert got == sweep_outcome(stacked_sweep, f, p, grid)
+
+
+def test_the_extremal_side_is_ringed_once_per_params_and_grid(monkeypatch):
+    # a sweep rings f_2 only when (a, radii, etas, nodes) differs from the
+    # last sweep's; a trunc that leaves a unchanged shares its integrals
+    calls = []
+    ring = analysis._ring
+
+    def counted(*args):
+        calls.append(args)
+        return ring(*args)
+
+    monkeypatch.setattr(analysis, "_ring", counted)
+
+    def ring_calls(p, radii, etas, nodes, seed=1):
+        calls.clear()
+        sweep_integral_means(random_member(p, seed), p, radii, etas, nodes)
+        return len(calls)
+
+    p, grid = ClassParams(q=0.5, lam=1.0, trunc=64), ((0.25, 0.5), (1.0, 2.0), 256)
+    assert ring_calls(p, *grid) == 2
+    assert ring_calls(p, *grid, seed=2) == 1
+    assert ring_calls(ClassParams(q=0.5, lam=1.0, trunc=32), *grid) == 1
+    for changed in [
+        (ClassParams(q=0.5, lam=2.0, trunc=64), *grid),
+        (p, (0.25, 0.75), (1.0, 2.0), 256),
+        (p, (0.25, 0.5), (1.0, 3.0), 256),
+        (p, (0.25, 0.5), (1.0, 2.0), 512),
+    ]:
+        assert ring_calls(*changed) == 2
+        assert ring_calls(p, *grid) == 2
+
+
+def test_the_kept_extremal_integrals_are_read_only():
+    p = ClassParams(q=0.5, lam=1.0, trunc=64)
+    sweep_integral_means(random_member(p, 1), p, (0.5,), (2.0,), 256)
+    kept = analysis._extremal_integrals(analysis._extremal_coeff(2, p), (0.5,), (2.0,), 256)
+    assert analysis._extremal_integrals.cache_info().hits == 1
+    with pytest.raises(ValueError):
+        kept[0, 0] = 0.0
 
 
 @pytest.mark.parametrize(

@@ -228,6 +228,24 @@ def test_overflowing_circle_integral_names_its_radius_and_eta(capsys):
     assert "coefficients" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # both sides underflow at r = 0.1, eta = 310; f's row is named first
+        (("sweep", "--q", "0.5", "--seed", "7", "--r-list", "0.1,0.5", "--eta-list", "2,310"),
+         "the circle integral underflows at r = 0.1, eta = 310.0"),
+        (("integral-means", "--series", '{"sign":"plus","coeffs":[1e200]}',
+          "--allow-uncertified"),
+         "the circle integral overflows at r = 0.5, eta = 2.0"),
+    ],
+)
+def test_a_refusal_names_the_first_failing_circle_of_either_side(capsys, argv, message):
+    # f and f_2 are checked as one (eta, side, r) stack, overflow first
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_a_density_below_the_normal_range_is_named(capsys):
     # density * (1 - alpha) = 1e-310 is subnormal: the density is refused,
     # not the criterion weights
