@@ -9,20 +9,20 @@ Wilf minimum of the factor sequence c a_n follows from it, since
 Re(1 + 2 sum c a_n z^n) = 1 + 2c Re f.  SubordinationReport.holds, the
 verdict, is the one inequality min Re f > -1/(2c); the rest is evidence.
 
-Circle values come from series.ring_values, one real FFT per radius over the
-closed upper half ring; real coefficients make the lower half its conjugate
-mirror, so the half carries every extremum and, with node weights
-1, 2, ..., 2, 1, the trapezoid rule, which is spectrally accurate for these
-smooth 2*pi-periodic integrands.  A circle integral works from the
-log-modulus: log|f| is taken once per ring, and each eta integrates
-exp(eta log|f|) = |f|^eta, so a zero of f on the ring, log 0 = -inf, is the
-exact 0.  Sums are plain numpy pairwise sums along the ring, one per eta and
-row, so results are reproducible run to run and a row of a batch is
-bit-identical to its own single call.  That is why the sweep can ring f
-alone and keep the integrals of f_2 = z - a z^2, which depend only on a and
-the grid, in a one-entry memo keyed on (a, radii, etas, nodes): a member
-checked at the parameter set and grid of the last sweep reuses them as they
-are.
+Every circle integral is computed by _integrals, the one caller of
+series._ring here: one real FFT per radius over the closed upper half ring;
+real coefficients make the lower half its conjugate mirror, so the half
+carries every extremum and, with node weights 1, 2, ..., 2, 1, the
+trapezoid rule, which is spectrally accurate for these smooth 2*pi-periodic
+integrands.  It works from the log-modulus: log|f| is taken once per ring,
+and each eta integrates exp(eta log|f|) = |f|^eta, so a zero of f on the
+ring, log 0 = -inf, is the exact 0.  Sums are plain numpy pairwise sums
+along the ring, one per eta and row, so results are reproducible run to run
+and a row of a batch is bit-identical to its own single call.  That is why
+the sweep can ring f alone and keep the integrals of f_2 = z - a z^2, which
+depend only on a and the grid, in a one-entry memo keyed on (a, radii,
+etas, nodes): a member checked at the parameter set and grid of the last
+sweep reuses them as they are.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .classes import _extremal_coeff, coefficient_test
 from .qcore import _MAX_ORDER, ClassParams, _is_count, criterion_weight
-from .series import PowerSeries, SampleGrid, Sign, _ring, ring_values
+from .series import PowerSeries, SampleGrid, Sign, _ring
 
 # Multiplicative slack for lhs <= rhs comparisons between circle integrals.
 INTEGRAL_MEANS_SLACK = 1.0e-9
@@ -74,23 +74,22 @@ def default_nodes(order: int) -> int:
     return 1 << (max(256, 4 * order) - 1).bit_length()
 
 
-def _log_modulus(values: np.ndarray) -> np.ndarray:
-    """log|values|, with log 0 = -inf and no warning."""
-    modulus = np.abs(values)
-    with np.errstate(divide="ignore"):
-        return np.log(modulus, out=modulus)
-
-
-def _circle_integral(log_modulus: np.ndarray, etas: Sequence[float]) -> np.ndarray:
-    """Trapezoid integrals of |f|^eta = exp(eta log|f|) over a full turn, one
-    per eta, from log|f| on the closed upper half ring (last axis): shape
-    (len(etas),) + log_modulus.shape[:-1].  The node weights 1, 2, ..., 2, 1
-    are 2 sum - ends, times 2 pi / nodes; log 0 = -inf gives exactly 0.
-    Nothing is refused here: an integral beyond the double range comes back
-    as inf or NaN, and _check_integrals refuses it."""
+def _integrals(
+    coeffs: np.ndarray, radii: Sequence[float], etas: Sequence[float], nodes: int
+) -> np.ndarray:
+    """Unchecked trapezoid integrals of |p|^eta over a full turn of the
+    radius-r circle, for each eta, each coefficient row of coeffs and each
+    r: shape (len(etas),) + coeffs.shape[:-1] + (len(radii),).  log|p| is
+    taken once per ring, on its closed upper half, and each eta integrates
+    exp(eta log|p|) with the node weights 1, 2, ..., 2, 1, as 2 sum - ends,
+    times 2 pi / nodes; log 0 = -inf gives exactly 0.  Nothing is refused
+    here: an integral beyond the double range comes back as inf or NaN,
+    and _check_integrals refuses it."""
+    log_modulus = np.abs(_ring(coeffs, np.array(radii), nodes))
     buf = np.empty_like(log_modulus)
     out = np.empty((len(etas),) + buf.shape[:-1])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.log(log_modulus, out=log_modulus)
         for j, eta in enumerate(etas):
             np.multiply(log_modulus, eta, out=buf)
             np.exp(buf, out=buf)
@@ -100,19 +99,17 @@ def _circle_integral(log_modulus: np.ndarray, etas: Sequence[float]) -> np.ndarr
 
 
 def _check_integrals(
-    integrals: np.ndarray, etas: Sequence[float], radii: float | Sequence[float]
+    integrals: np.ndarray, etas: Sequence[float], radii: Sequence[float]
 ) -> np.ndarray:
-    """integrals, shape (len(etas),) + rows, once each lies in the normal
-    float range.  An integral beyond the double range overflows and one
-    below its normal range underflows, a ValueError naming the first such
-    circle in C order, overflow before underflow; radii, broadcast against
-    the rows, names its r."""
+    """integrals, shape (len(etas),) + rows + (len(radii),), once each lies
+    in the normal float range.  An integral beyond the double range
+    overflows and one below its normal range underflows, a ValueError
+    naming the first such circle in C order, overflow before underflow."""
     overflow, underflow = ~np.isfinite(integrals), integrals < np.finfo(float).tiny
     for failed, word in ((overflow, "overflows"), (underflow, "underflows")):
         if failed.any():
-            j, *row = np.argwhere(failed)[0]
-            r = float(np.broadcast_to(radii, integrals.shape[1:])[tuple(row)])
-            raise ValueError(f"the circle integral {word} at r = {r}, eta = {etas[j]}")
+            j, *_, i = np.argwhere(failed)[0]
+            raise ValueError(f"the circle integral {word} at r = {radii[i]}, eta = {etas[j]}")
     return integrals
 
 
@@ -121,9 +118,8 @@ def integral_means(f: PowerSeries, cfg: QuadratureConfig) -> float:
     turn of cfg.nodes uniform nodes, as exp(eta log|f|) from the ring's
     log-modulus; it converges spectrally in the node count.  An integral
     outside the normal float range is a ValueError naming r and eta."""
-    log_modulus = _log_modulus(ring_values(f.full(), cfg.r, cfg.nodes))
-    integral = _circle_integral(log_modulus, (cfg.eta,))
-    return float(_check_integrals(integral, (cfg.eta,), cfg.r)[0])
+    radii, etas = (float(cfg.r),), (float(cfg.eta),)
+    return float(_check_integrals(_integrals(f.full(), radii, etas, cfg.nodes), etas, radii)[0, 0])
 
 
 class SweepRow(NamedTuple):
@@ -146,17 +142,20 @@ def sweep_integral_means(
     nodes: int,
 ) -> list[SweepRow]:
     """Integral-means comparison over an (r, eta) grid; nodes is required and
-    margin = rhs - lhs.  log|f| comes from one ring call for all radii and
-    one circle integral call integrates it for every eta.  The rhs is
-    _extremal_integrals of the coefficient a of extremal_function(2), the
-    same numbers for every member at one (a, radii, etas, nodes).  Both
-    sides are checked as one (eta, side, r) stack, so a refusal names the
-    first failing circle of either."""
+    margin = rhs - lhs.  The lhs is one _integrals call for every radius and
+    eta.  The rhs is _extremal_integrals of the coefficient a of
+    extremal_function(2), the same numbers for every member at one
+    (a, radii, etas, nodes).  Both sides are checked as one (eta, side, r)
+    stack, so a refusal names the first failing circle of either.  An empty
+    r_values or eta_values is a ValueError naming it: no rows would make
+    every verdict vacuously true."""
     radii = tuple(QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values)
     etas = tuple(QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values)
-    log_modulus = _log_modulus(_ring(f.full(), np.array(radii), nodes))
+    for name, values in (("r_values", radii), ("eta_values", etas)):
+        if not values:
+            raise ValueError(f"{name} must not be empty")
     extremal = _extremal_integrals(_extremal_coeff(2, params), radii, etas, nodes)
-    stacked = np.stack((_circle_integral(log_modulus, etas), extremal), axis=1)
+    stacked = np.stack((_integrals(f.full(), radii, etas, nodes), extremal), axis=1)
     sides = _check_integrals(stacked, etas, radii).tolist()
     return [
         SweepRow(r, eta, lhs[i], rhs[i], rhs[i] - lhs[i])
@@ -173,8 +172,7 @@ def _extremal_integrals(
     len(radii)), read-only.  They depend on these arguments alone, and a
     ring row is bit-identical to its own call, so the one entry kept serves
     every member swept at one parameter set and grid."""
-    log_modulus = _log_modulus(_ring(np.array((0.0, 1.0, -a)), np.array(radii), nodes))
-    integrals = _circle_integral(log_modulus, etas)
+    integrals = _integrals(np.array((0.0, 1.0, -a)), radii, etas, nodes)
     integrals.flags.writeable = False
     return integrals
 

@@ -6,10 +6,10 @@ z + sum a_n z^n with arbitrary real a_n, MINUS for z - sum a_n z^n with
 a_n >= 0 (the negative-coefficient family the membership machinery works in).
 
 The operations are the q-difference derivative, Horner evaluation at
-arbitrary points (poly_eval) and evaluation on circles (ring_values).
-Coefficients are real, so p(conj z) = conj p(z): ring_values evaluates only
-the closed upper half of each circle, and the lower half is its mirror
-image.
+arbitrary points (poly_eval) and evaluation on circles (SampleGrid.values,
+which checks its radii once, and the unchecked _ring behind it).
+Coefficients are real, so p(conj z) = conj p(z): _ring evaluates only the
+closed upper half of each circle, and the lower half is its mirror image.
 
 Series are immutable values; all operations return fresh objects or
 read-only arrays and are safe for concurrent use.
@@ -142,8 +142,8 @@ class SampleGrid:
 
     def values(self, coeffs) -> np.ndarray:
         """Values of a real ascending coefficient sequence, or a stack of
-        them, from one ring call: one row per grid radius, the closed upper
-        half of its ring, as ring_values gives them."""
+        them, from one _ring call: one row per grid radius, the closed
+        upper half of its ring.  This is the checked entry to _ring."""
         return _ring(np.asarray(coeffs, dtype=float), np.array(self.radii), self.n_angles)
 
 
@@ -157,34 +157,24 @@ def poly_eval(coeffs, z):
     return complex(vals) if arr.ndim == 0 else vals
 
 
-def ring_values(coeffs, r, nodes: int) -> np.ndarray:
-    """Values of real ascending coefficient sequences on the closed upper half
-    ring z_j = r e^{2 pi i j / nodes}, j = 0..nodes//2, for 0 <= r < 1; the
-    lower half holds their conjugates.  coeffs is one sequence or a stack of
-    them, shape (..., order), and r a radius or a 1-D sequence of radii; the
-    shape is coeffs.shape[:-1] + r.shape + (nodes//2 + 1,), and each row is
-    bit-identical to its own single-sequence, single-radius call.  c_n r^n
-    is added into bin n mod nodes, exact at the nodes-th roots of unity, so
-    any order is accepted; one real FFT per row of the bins gives the
-    conjugate values.  The arguments are checked here, nodes as an integer;
-    _ring does the work."""
-    radii = np.asarray(r, dtype=float)
-    if not (_is_count(nodes) and nodes >= 1 and radii.ndim <= 1
-            and np.all((0.0 <= radii) & (radii < 1.0))):
-        raise ValueError(f"a ring needs 0 <= r < 1 and nodes >= 1, got r={r}, nodes={nodes}")
-    return _ring(np.asarray(coeffs, dtype=float), radii, nodes)
-
-
 def _ring(c: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
-    """ring_values on checked arguments: c a float array of shape
-    (..., order), radii a float array of at most one dimension.
+    """Values of real ascending coefficient sequences on the closed upper half
+    ring z_j = r e^{2 pi i j / nodes}, j = 0..nodes//2; the lower half holds
+    their conjugates.  Nothing is checked: c is a float array of shape
+    (..., order), one sequence or a stack of them, radii a float array of
+    at most one dimension with entries in [0, 1), and nodes a positive int.
+    The shape is c.shape[:-1] + radii.shape + (nodes//2 + 1,), and each row
+    is bit-identical to its own single-sequence, single-radius call.
 
-    An order above nodes is folded by one sum over blocks of nodes bins,
-    the last padded with -0.0 and the sum started from it: -0.0 is the
-    additive identity that keeps the sign of a zero.  numpy adds a non-last
-    axis block by block, in order, so each bin is bit for bit the sum of
-    its terms left to right; at nodes = 1 the blocks axis is the contiguous
-    one, and the value at z = r is numpy's pairwise sum instead."""
+    c_n r^n is added into bin n mod nodes, exact at the nodes-th roots of
+    unity, so any order is accepted; one real FFT per row of the bins gives
+    the conjugate values.  An order above nodes is folded by one sum over
+    blocks of nodes bins, the last padded with -0.0 and the sum started
+    from it: -0.0 is the additive identity that keeps the sign of a zero.
+    numpy adds a non-last axis block by block, in order, so each bin is bit
+    for bit the sum of its terms left to right; at nodes = 1 the blocks
+    axis is the contiguous one, and the value at z = r is numpy's pairwise
+    sum instead."""
     order = c.shape[-1]
     scaled = c[..., None, :] if radii.ndim else c
     powers = radii[..., None] ** np.arange(order)

@@ -32,9 +32,8 @@ from qstarlike import (
     wilf_sequence,
 )
 from qstarlike import analysis
-from qstarlike.analysis import _circle_integral, _log_modulus, sweep_to_csv
+from qstarlike.analysis import _integrals, sweep_to_csv
 from qstarlike.qcore import criterion_weight
-from qstarlike.series import ring_values
 from reference import circle_integral
 from reference import sweep_integral_means as stacked_sweep
 
@@ -62,15 +61,17 @@ def parseval_value(f: PowerSeries, r: float) -> float:
     return float(2.0 * np.pi * np.sum(coeffs**2 * r ** (2 * powers)))
 
 
-def integral_tolerance(eta: float, log_modulus: np.ndarray) -> np.ndarray:
-    """Relative distance allowed, per ring, between an integral from the
-    log-modulus and the pow reference: 8 eps (2 + eta max|log m| + log2
-    nodes).  exp turns the rounding of eta log m, relative eps, into a
+def integral_tolerance(eta: float, modulus: np.ndarray) -> np.ndarray:
+    """Relative distance allowed, per ring of moduli m, between an integral
+    from the log-modulus and the pow reference: 8 eps (2 + eta max|log m| +
+    log2 nodes).  exp turns the rounding of eta log m, relative eps, into a
     relative error of eta |log m| eps; log, exp and pow add a few ulps; and
-    each pairwise sum adds about log2 nodes roundings.  A log m of -inf is
-    a node of value exactly 0 in both and adds no error."""
+    each pairwise sum adds about log2 nodes roundings.  An m of 0 is a node
+    of value exactly 0 in both and adds no error."""
+    with np.errstate(divide="ignore"):
+        log_modulus = np.log(modulus)
     finite = np.where(np.isfinite(log_modulus), np.abs(log_modulus), 0.0)
-    nodes = 2 * (log_modulus.shape[-1] - 1)
+    nodes = 2 * (modulus.shape[-1] - 1)
     return 8.0 * np.finfo(float).eps * (2.0 + eta * np.max(finite, axis=-1) + np.log2(nodes))
 
 
@@ -167,7 +168,7 @@ def test_circle_integral_matches_the_pow_reference():
     # members and random series, radii up to 0.999 and eta up to 40, at the
     # smallest, the benchmark's and a larger node count
     rng = np.random.default_rng(2121)
-    radii = np.array([0.1, 0.5, 0.9, 0.999])
+    radii = (0.1, 0.5, 0.9, 0.999)
     etas = (0.01, 0.5, 1.0, 2.0, 3.7, 12.0, 40.0)
     checked = 0
     for p in MEMBER_PARAMS[::6] + [ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=64)]:
@@ -175,15 +176,14 @@ def test_circle_integral_matches_the_pow_reference():
         stack = np.stack((random_member(p, seed=int(rng.integers(2**31))).full(),
                           PowerSeries(rng.uniform(-1.0, 1.0, n.size) / n**2).full()))
         for nodes in (16, 4096, 2**14):
-            ring = ring_values(stack, radii, nodes)
-            log_modulus = _log_modulus(ring)
-            got = _circle_integral(log_modulus, etas)
-            assert got.shape == (len(etas), 2, radii.size)
+            modulus = np.abs(SampleGrid(radii, nodes).values(stack))
+            got = _integrals(stack, radii, etas, nodes)
+            assert got.shape == (len(etas), 2, len(radii))
             for eta, integral in zip(etas, got):
-                want = circle_integral(np.abs(ring), eta)
-                assert np.all(np.abs(integral - want) <= integral_tolerance(eta, log_modulus) * want)
+                want = circle_integral(modulus, eta)
+                assert np.all(np.abs(integral - want) <= integral_tolerance(eta, modulus) * want)
                 checked += want.size
-    assert checked == 7 * 3 * len(etas) * 2 * radii.size
+    assert checked == 7 * 3 * len(etas) * 2 * len(radii)
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,14 +209,14 @@ def test_a_zero_on_the_ring_integrates_without_a_warning():
     # f(z) = z - 2 z^2 vanishes at z = 0.5, the first node of the r = 0.5
     # ring: log 0 = -inf, and exp(-inf) = 0 is the exact 0**eta
     f = PowerSeries((-2.0,))
-    ring = ring_values(f.full(), 0.5, 256)
+    (ring,) = SampleGrid((0.5,), 256).values(f.full())
     assert ring[0] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for eta in (0.5, 2.0):
             got = integral_means(f, QuadratureConfig(nodes=256, r=0.5, eta=eta))
             want = circle_integral(np.abs(ring), eta)
-            assert abs(got - want) <= integral_tolerance(eta, _log_modulus(ring)) * want
+            assert abs(got - want) <= integral_tolerance(eta, np.abs(ring)) * want
 
 
 def test_verify_integral_means_reflexive_case():
@@ -378,7 +378,7 @@ def test_sharpness_minimum_matches_closed_form():
                 c = subordination_constant(p)
                 f2 = extremal_function(2, p).full()
                 for r in (0.1, 0.5, 0.9, 0.99, 0.9999):
-                    sampled = c * float(np.min(ring_values(f2, r, 4096).real))
+                    sampled = c * float(np.min(SampleGrid((r,), 4096).values(f2).real))
                     assert sharpness_minimum(p, r) == pytest.approx(sampled, rel=1e-15)
 
 
@@ -594,3 +594,14 @@ def test_sweep_validates_radii_etas_and_nodes(r_values, eta_values, nodes):
     p = ClassParams(q=0.5, trunc=8)
     with pytest.raises(ValueError):
         sweep_integral_means(PowerSeries((0.0,) * 7), p, r_values, eta_values, nodes=nodes)
+
+
+def test_sweep_refuses_an_empty_grid():
+    # no rows would make all(row.holds) vacuously true; the refusal names
+    # the empty argument, r_values first
+    p, f = ClassParams(q=0.5, trunc=8), PowerSeries((0.0,) * 7)
+    for r_values, eta_values, name in [
+        ([], [1.0], "r_values"), ((0.5,), (), "eta_values"), ([], [], "r_values"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{name} must not be empty$"):
+            sweep_integral_means(f, p, r_values, eta_values, nodes=256)

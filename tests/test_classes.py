@@ -18,7 +18,6 @@ from qstarlike import (
 from qstarlike.analysis import WILF_RADII
 from qstarlike.classes import DEGENERATE_TOL, DegenerateDenominatorError
 from qstarlike.qcore import Q_MAX, Q_MIN, basic_number, criterion_weight
-from qstarlike.series import ring_values
 from reference import ruscheweyh
 
 NEAR_ONE = 1.0 - 1.0e-6
@@ -281,11 +280,10 @@ def stacked_min_margin(f, params, grid=SampleGrid()):
     """criterion_min_margin built from separate parts rather than rows
     written in place: R f as a PowerSeries, the series Dn = z D_q R f - R f
     from its coefficients q [n-1] r_n, np.stack of the two, one checked
-    ring_values call, and the margin 1 + Re d - alpha - k |d| of d = Dn / R f."""
+    SampleGrid.values call, and the margin 1 + Re d - alpha - k |d| of d = Dn / R f."""
     g = ruscheweyh(f, params)
     dn = params.q * basic_number(np.arange(1.0, g.order), params.q) * g.tail()
-    den, num = ring_values(np.stack((g.full(), np.concatenate(([0.0, 0.0], dn)))),
-                           grid.radii, grid.n_angles)
+    den, num = grid.values(np.stack((g.full(), np.concatenate(([0.0, 0.0], dn)))))
     if np.min(np.abs(den)) < DEGENERATE_TOL:
         raise DegenerateDenominatorError("Ruscheweyh transform vanishes at a sample point")
     d = num / den

@@ -17,7 +17,7 @@ from qstarlike import (
     q_derivative,
 )
 from qstarlike.qcore import basic_number
-from qstarlike.series import _ring, ring_values
+from qstarlike.series import _ring
 from reference import ruscheweyh
 
 NEAR_ONE = 1.0 - 1.0e-6
@@ -240,8 +240,15 @@ def ring(r: float, nodes: int) -> np.ndarray:
     return r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
 
+def on_ring(coeffs, r, nodes: int) -> np.ndarray:
+    # _ring on float arrays, as SampleGrid.values calls it; r = 0, which a
+    # grid refuses, and a scalar r, which gives one row without its axis,
+    # are the ring's own contract
+    return _ring(np.asarray(coeffs, dtype=float), np.asarray(r, dtype=float), nodes)
+
+
 def upper_half(values: np.ndarray) -> np.ndarray:
-    # ring_values returns the closed upper half ring, j = 0..nodes//2
+    # the ring holds the closed upper half ring, j = 0..nodes//2
     return values[..., : values.shape[-1] // 2 + 1]
 
 
@@ -266,7 +273,7 @@ def test_ring_values_match_horner(r, size, nodes):
     # onto the roots of unity
     rng = np.random.default_rng(size * nodes)
     coeffs = rng.uniform(-1.0, 1.0, size)
-    got = ring_values(coeffs, r, nodes)
+    got = on_ring(coeffs, r, nodes)
     want = upper_half(poly_eval(coeffs, ring(r, nodes)))
     assert got.shape == (nodes // 2 + 1,)
     assert np.max(np.abs(got - want)) <= horner_tol(coeffs, r, nodes)
@@ -279,7 +286,7 @@ def test_ring_values_match_mpmath(size, nodes, r):
     ctx.dps = 40
     rng = np.random.default_rng(size + nodes)
     coeffs = rng.uniform(-1.0, 1.0, size)
-    got = ring_values(coeffs, r, nodes)
+    got = on_ring(coeffs, r, nodes)
     scale = float(np.sum(np.abs(coeffs) * r ** np.arange(size)))
     exact_coeffs = [ctx.mpf(c) for c in coeffs[::-1]]
     assert got.shape == (nodes // 2 + 1,)
@@ -289,7 +296,7 @@ def test_ring_values_match_mpmath(size, nodes, r):
 
 
 def test_ring_values_at_zero_radius_is_the_constant_term():
-    np.testing.assert_array_equal(ring_values([0.5, 2.0, -3.0], 0.0, 4), np.full(3, 0.5))
+    np.testing.assert_array_equal(on_ring([0.5, 2.0, -3.0], 0.0, 4), np.full(3, 0.5))
 
 
 @pytest.mark.parametrize("size, nodes", [(12, 64), (300, 64), (40, 7), (5, 1), (1025, 4096)])
@@ -297,11 +304,11 @@ def test_ring_values_batched_rows_equal_scalar_calls(size, nodes):
     rng = np.random.default_rng(size + 7 * nodes)
     coeffs = rng.uniform(-1.0, 1.0, size)
     radii = [0.0, 0.3, 0.9, 0.9999]
-    batch = ring_values(coeffs, radii, nodes)
+    batch = on_ring(coeffs, radii, nodes)
     assert batch.shape == (len(radii), nodes // 2 + 1)
     for row, r in zip(batch, radii):
-        np.testing.assert_array_equal(row, ring_values(coeffs, r, nodes))
-    assert ring_values(coeffs, [], nodes).shape == (0, nodes // 2 + 1)
+        np.testing.assert_array_equal(row, on_ring(coeffs, r, nodes))
+    assert on_ring(coeffs, [], nodes).shape == (0, nodes // 2 + 1)
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 7, 8, 64])
@@ -309,7 +316,7 @@ def test_ring_values_mirror_gives_the_full_ring(nodes):
     # odd and even node counts: the half ring plus its conjugate mirror is
     # every node of the ring
     coeffs = np.random.default_rng(nodes).uniform(-1.0, 1.0, 20)
-    full = full_ring(ring_values(coeffs, 0.8, nodes), nodes)
+    full = full_ring(on_ring(coeffs, 0.8, nodes), nodes)
     want = poly_eval(coeffs, ring(0.8, nodes))
     assert full.shape == (nodes,)
     assert np.max(np.abs(full - want)) <= horner_tol(coeffs, 0.8, nodes)
@@ -320,15 +327,10 @@ def test_ring_values_mirror_gives_the_full_ring(nodes):
     [1.0, 1.5, -0.1, -1e-300, float("nan"), [0.5, 1.0], [float("nan"), 0.5], [[0.5], [0.25]]],
 )
 def test_ring_values_rejects_radius_outside_disc(r):
-    # a sequence of radii is rejected if any radius is, and so is a 2-D one
-    with pytest.raises(ValueError, match="ring"):
-        ring_values([0.0, 1.0], r, 16)
-
-
-def test_ring_values_rejects_empty_ring():
-    for nodes in (0, 2.5, True):
-        with pytest.raises(ValueError, match="nodes"):
-            ring_values([0.0, 1.0], 0.5, nodes)
+    # SampleGrid is the checked entry to the ring: a set of radii is
+    # rejected if any radius is, and so is a 2-D one
+    with pytest.raises(ValueError, match=r"^grid radii must lie in \(0, 1\)$"):
+        SampleGrid(np.atleast_1d(r), 16)
 
 
 @settings(max_examples=80, deadline=None)
@@ -338,7 +340,7 @@ def test_ring_values_rejects_empty_ring():
     st.integers(min_value=1, max_value=80),
 )
 def test_ring_values_property_against_horner(coeffs, r, nodes):
-    got = ring_values(coeffs, r, nodes)
+    got = on_ring(coeffs, r, nodes)
     want = upper_half(poly_eval(coeffs, ring(r, nodes)))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= horner_tol(coeffs, r, nodes)
@@ -351,7 +353,7 @@ def test_ring_values_parseval_is_exact_without_folding():
     coeffs = rng.uniform(-1.0, 1.0, 200)
     for r, nodes in ((0.5, 256), (0.99, 256), (0.9999, 512)):
         exact = 2.0 * np.pi * np.sum((coeffs * r ** np.arange(coeffs.size)) ** 2)
-        vals = full_ring(ring_values(coeffs, r, nodes), nodes)
+        vals = full_ring(on_ring(coeffs, r, nodes), nodes)
         approx = 2.0 * np.pi * np.sum(np.abs(vals) ** 2) / nodes
         assert approx == pytest.approx(exact, rel=1e-13)
 
@@ -408,10 +410,10 @@ def test_ring_values_stacked_rows_equal_single_row_calls(size, nodes):
     rng = np.random.default_rng(size + nodes)
     stack = rng.uniform(-1.0, 1.0, (2, size))
     for r in (0.9, [0.0, 0.3, 0.9999]):
-        batch = ring_values(stack, r, nodes)
+        batch = on_ring(stack, r, nodes)
         assert batch.shape == (2, *np.shape(r), nodes // 2 + 1)
         for row, coeffs in zip(batch, stack):
-            np.testing.assert_array_equal(row, ring_values(coeffs, r, nodes))
+            np.testing.assert_array_equal(row, on_ring(coeffs, r, nodes))
 
 
 def loop_fold_ring(c: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
@@ -455,7 +457,7 @@ def test_ring_fold_is_bit_identical_to_the_loop_fold(nodes):
 def test_sample_grid_checks_its_radii_once_and_keeps_them_read_only():
     grid = SampleGrid((0.25, 0.5), 8)
     coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 30))
-    assert grid.values(coeffs).tobytes() == ring_values(coeffs, grid.radii, 8).tobytes()
+    assert grid.values(coeffs).tobytes() == _ring(coeffs, np.array(grid.radii), 8).tobytes()
     # a copy is an equal grid with equal values
     for copied in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid), copy.copy(grid)):
         assert copied == grid and hash(copied) == hash(grid)
