@@ -58,15 +58,31 @@ class QuadratureConfig:
     eta: float = 2.0
 
     def __post_init__(self) -> None:
-        n, top = self.nodes, default_nodes(_MAX_ORDER)
-        if not (_is_count(n) and 16 <= n <= top) or n & (n - 1):
-            raise ValueError(f"nodes must be a power of two in [16, {top}], got {n}")
-        if not 0.0 < self.r < 1.0:
-            raise ValueError(f"r must lie in (0, 1), got {self.r}")
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
+        _check_nodes(self.nodes)
+        _check_r(self.r)
+        _check_eta(self.eta)
+
+
+# The rules of a QuadratureConfig field, one each, for the config and for a
+# sweep, which checks nodes once and each of its radii and etas.
+def _check_nodes(nodes: int) -> None:
+    top = default_nodes(_MAX_ORDER)
+    if not (_is_count(nodes) and 16 <= nodes <= top) or nodes & (nodes - 1):
+        raise ValueError(f"nodes must be a power of two in [16, {top}], got {nodes}")
+
+
+def _check_r(r: float) -> float:
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"r must lie in (0, 1), got {r}")
+    return r
+
+
+def _check_eta(eta: float) -> float:
+    if not eta > 0.0:
+        raise ValueError(f"eta must be > 0, got {eta}")
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
+    return eta
 
 
 def default_nodes(order: int) -> int:
@@ -75,7 +91,7 @@ def default_nodes(order: int) -> int:
 
 
 def _integrals(
-    coeffs: np.ndarray, radii: Sequence[float], etas: Sequence[float], nodes: int
+    coeffs: np.ndarray, radii: tuple[float, ...], etas: Sequence[float], nodes: int
 ) -> np.ndarray:
     """Unchecked trapezoid integrals of |p|^eta over a full turn of the
     radius-r circle, for each eta, each coefficient row of coeffs and each
@@ -85,7 +101,7 @@ def _integrals(
     times 2 pi / nodes; log 0 = -inf gives exactly 0.  Nothing is refused
     here: an integral beyond the double range comes back as inf or NaN,
     and _check_integrals refuses it."""
-    log_modulus = np.abs(_ring(coeffs, np.array(radii), nodes))
+    log_modulus = np.abs(_ring(coeffs, radii, nodes))
     buf = np.empty_like(log_modulus)
     out = np.empty((len(etas),) + buf.shape[:-1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -146,14 +162,21 @@ def sweep_integral_means(
     eta.  The rhs is _extremal_integrals of the coefficient a of
     extremal_function(2), the same numbers for every member at one
     (a, radii, etas, nodes).  Both sides are checked as one (eta, side, r)
-    stack, so a refusal names the first failing circle of either.  An empty
-    r_values or eta_values is a ValueError naming it: no rows would make
-    every verdict vacuously true."""
-    radii = tuple(QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values)
-    etas = tuple(QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values)
+    stack, so a refusal names the first failing circle of either.  Inputs
+    follow the QuadratureConfig rules: nodes is checked once, at the first
+    value, then each radius and eta in turn, and an empty r_values or
+    eta_values is a ValueError naming it, r_values first: no rows would
+    make every verdict vacuously true."""
+    radii, etas = [], []
+    for kept, values, check in ((radii, r_values, _check_r), (etas, eta_values, _check_eta)):
+        for value in map(float, values):
+            if not (radii or etas):
+                _check_nodes(nodes)
+            kept.append(check(value))
     for name, values in (("r_values", radii), ("eta_values", etas)):
         if not values:
             raise ValueError(f"{name} must not be empty")
+    radii, etas = tuple(radii), tuple(etas)
     extremal = _extremal_integrals(_extremal_coeff(2, params), radii, etas, nodes)
     stacked = np.stack((_integrals(f.full(), radii, etas, nodes), extremal), axis=1)
     sides = _check_integrals(stacked, etas, radii).tolist()
@@ -266,9 +289,7 @@ def sharpness_minimum(params: ClassParams, r: float) -> float:
     (1 - alpha) r) / (2 (1 - alpha + weight_2)).  It decreases in r, stays
     above -1/2 and tends to -1/2 as r -> 1: the constant cannot be improved.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    return _sharpness_minimum(criterion_weight(2, params), params.alpha, r)
+    return _sharpness_minimum(criterion_weight(2, params), params.alpha, _check_r(r))
 
 
 # The three closed forms above, of w2 = weight_2 and alpha, for a caller

@@ -10,6 +10,10 @@ arbitrary points (poly_eval) and evaluation on circles (SampleGrid.values,
 which checks its radii once, and the unchecked _ring behind it).
 Coefficients are real, so p(conj z) = conj p(z): _ring evaluates only the
 closed upper half of each circle, and the lower half is its mirror image.
+The table r^n that scales a ring depends only on the radii and the order,
+so _powers keeps it, read-only, in an 8-entry lru_cache keyed on the radii
+tuple and the order: at most 8 tables of len(radii) x order doubles are
+kept, each the array one ring call would otherwise build and free.
 
 Series are immutable values; all operations return fresh objects or
 read-only arrays and are safe for concurrent use.
@@ -18,6 +22,7 @@ read-only arrays and are safe for concurrent use.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 
@@ -144,7 +149,7 @@ class SampleGrid:
         """Values of a real ascending coefficient sequence, or a stack of
         them, from one _ring call: one row per grid radius, the closed
         upper half of its ring.  This is the checked entry to _ring."""
-        return _ring(np.asarray(coeffs, dtype=float), np.array(self.radii), self.n_angles)
+        return _ring(np.asarray(coeffs, dtype=float), self.radii, self.n_angles)
 
 
 def poly_eval(coeffs, z):
@@ -157,14 +162,25 @@ def poly_eval(coeffs, z):
     return complex(vals) if arr.ndim == 0 else vals
 
 
-def _ring(c: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _powers(radii: tuple[float, ...], order: int) -> np.ndarray:
+    """The read-only table r^n, shape (len(radii), order), n = 0..order-1:
+    the array a ring call builds, kept per (radii, order) for every later
+    call at that key.  At most 8 are kept."""
+    powers = np.array(radii)[:, None] ** np.arange(order)
+    powers.flags.writeable = False
+    return powers
+
+
+def _ring(c: np.ndarray, radii: tuple[float, ...], nodes: int) -> np.ndarray:
     """Values of real ascending coefficient sequences on the closed upper half
     ring z_j = r e^{2 pi i j / nodes}, j = 0..nodes//2; the lower half holds
     their conjugates.  Nothing is checked: c is a float array of shape
-    (..., order), one sequence or a stack of them, radii a float array of
-    at most one dimension with entries in [0, 1), and nodes a positive int.
-    The shape is c.shape[:-1] + radii.shape + (nodes//2 + 1,), and each row
-    is bit-identical to its own single-sequence, single-radius call.
+    (..., order), one sequence or a stack of them, radii a tuple of floats
+    in [0, 1), and nodes a positive int.  The shape is c.shape[:-1] +
+    (len(radii), nodes//2 + 1), and each row is bit-identical to its own
+    single-sequence, single-radius call.  The table r^n is _powers(radii,
+    order), built at the first call at that key and kept.
 
     c_n r^n is added into bin n mod nodes, exact at the nodes-th roots of
     unity, so any order is accepted; one real FFT per row of the bins gives
@@ -176,12 +192,11 @@ def _ring(c: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
     axis is the contiguous one, and the value at z = r is numpy's pairwise
     sum instead."""
     order = c.shape[-1]
-    scaled = c[..., None, :] if radii.ndim else c
-    powers = radii[..., None] ** np.arange(order)
+    scaled, powers = c[..., None, :], _powers(radii, order)
     if order <= nodes:
         scaled = scaled * powers
     else:
-        rows, blocks = c.shape[:-1] + radii.shape, -(-order // nodes)
+        rows, blocks = c.shape[:-1] + (len(radii),), -(-order // nodes)
         padded = np.empty(rows + (blocks * nodes,))
         np.multiply(scaled, powers, out=padded[..., :order])
         padded[..., order:] = -0.0

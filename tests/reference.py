@@ -41,7 +41,7 @@ def circle_integral(modulus: np.ndarray, eta: float) -> np.ndarray:
 
 
 def sweep_integral_means(f, params, r_values, eta_values, nodes):
-    radii = [QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values]
+    radii = tuple(QuadratureConfig(nodes=nodes, r=float(r)).r for r in r_values)
     etas = [QuadratureConfig(nodes=nodes, eta=float(eta)).eta for eta in eta_values]
     stacked = np.zeros((2, max(f.order + 1, 3)))
     stacked[0, : f.order + 1] = f.full()

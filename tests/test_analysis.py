@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import asdict
 
@@ -31,7 +32,7 @@ from qstarlike import (
     wilf_positivity,
     wilf_sequence,
 )
-from qstarlike import analysis
+from qstarlike import analysis, series
 from qstarlike.analysis import _integrals, sweep_to_csv
 from qstarlike.qcore import criterion_weight
 from reference import circle_integral
@@ -49,10 +50,12 @@ MEMBER_PARAMS = [
 
 
 @pytest.fixture(autouse=True)
-def cold_extremal_memo():
-    # the sweep keeps the integrals of f_2 from its last call; every test
-    # starts without them, so no test depends on the ones run before it
+def cold_memos():
+    # the sweep keeps the integrals of f_2 from its last call and the ring
+    # its r^n tables; every test starts without them, so no test depends on
+    # the ones run before it
     analysis._extremal_integrals.cache_clear()
+    series._powers.cache_clear()
 
 
 def parseval_value(f: PowerSeries, r: float) -> float:
@@ -459,6 +462,29 @@ def test_one_params_object_builds_its_kernel_once(monkeypatch):
     assert calls == [(1.0, 0.5, 256)]
 
 
+def test_a_second_member_builds_no_power_table():
+    # one certification and its consequences at one parameter set, as a
+    # certify_shared op runs them, build each r^n table they ring with; a
+    # second member at those parameters finds every one kept
+    p = ClassParams(q=0.5, lam=1.0, trunc=256)
+
+    def certify(seed):
+        f = random_member(p, seed)
+        coefficient_test(f, p)
+        criterion_min_margin(f, p)
+        verify_integral_means(f, p, QuadratureConfig(nodes=default_nodes(p.trunc)))
+        subordination_report(f, p)
+        min_real_part(f)
+
+    certify(1)
+    # f's order on the default grid (the criterion and min_real_part), on
+    # the subordination grid and at the one-cell sweep's radius, where
+    # f_2's order is rung once
+    assert series._powers.cache_info().misses == 4
+    certify(2)
+    assert series._powers.cache_info().misses == 4
+
+
 def test_sweep_rows_and_csv():
     p = ClassParams(q=0.5, trunc=8)
     f = random_member(p, seed=2, density=0.5)
@@ -594,6 +620,30 @@ def test_sweep_validates_radii_etas_and_nodes(r_values, eta_values, nodes):
     p = ClassParams(q=0.5, trunc=8)
     with pytest.raises(ValueError):
         sweep_integral_means(PowerSeries((0.0,) * 7), p, r_values, eta_values, nodes=nodes)
+
+
+@pytest.mark.parametrize(
+    "r_values, eta_values, nodes, message",
+    [
+        ([], [], 100, "r_values must not be empty"),
+        ([], [-1.0], 100, "nodes must be a power of two in [16, 1048576], got 100"),
+        ([2.0], [-1.0], 100, "nodes must be a power of two in [16, 1048576], got 100"),
+        ([0.5], [], 100, "nodes must be a power of two in [16, 1048576], got 100"),
+        ([], [-1.0], 256, "eta must be > 0, got -1.0"),
+        ([0.5], [], 256, "eta_values must not be empty"),
+        ([2.0], [-1.0], 256, "r must lie in (0, 1), got 2.0"),
+        ([0.5, 2.0, -1.0], [np.inf], 256, "r must lie in (0, 1), got 2.0"),
+        ([0.5], [2.0, np.inf, -1.0], 256, "eta must be finite, got inf"),
+        ([0.5], [np.nan], 256, "eta must be > 0, got nan"),
+        ([np.float32(0.5), 1], [2], 256, "r must lie in (0, 1), got 1.0"),
+    ],
+)
+def test_sweep_names_its_first_bad_input(r_values, eta_values, nodes, message):
+    # nodes is checked once, at the first radius or eta, then each value
+    # in turn by the QuadratureConfig rules, and an empty list last
+    p, f = ClassParams(q=0.5, trunc=8), PowerSeries((0.0,) * 7)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_integral_means(f, p, r_values, eta_values, nodes=nodes)
 
 
 def test_sweep_refuses_an_empty_grid():

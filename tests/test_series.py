@@ -17,7 +17,7 @@ from qstarlike import (
     q_derivative,
 )
 from qstarlike.qcore import basic_number
-from qstarlike.series import _ring
+from qstarlike.series import _powers, _ring
 from reference import ruscheweyh
 
 NEAR_ONE = 1.0 - 1.0e-6
@@ -241,10 +241,11 @@ def ring(r: float, nodes: int) -> np.ndarray:
 
 
 def on_ring(coeffs, r, nodes: int) -> np.ndarray:
-    # _ring on float arrays, as SampleGrid.values calls it; r = 0, which a
-    # grid refuses, and a scalar r, which gives one row without its axis,
-    # are the ring's own contract
-    return _ring(np.asarray(coeffs, dtype=float), np.asarray(r, dtype=float), nodes)
+    # _ring on a float array and a tuple of radii, as SampleGrid.values
+    # calls it; a scalar r is the one-radius tuple, read at row 0, and
+    # r = 0, which a grid refuses, is the ring's own contract
+    values = _ring(np.asarray(coeffs, dtype=float), tuple(np.atleast_1d(r).tolist()), nodes)
+    return values if np.ndim(r) else values[..., 0, :]
 
 
 def upper_half(values: np.ndarray) -> np.ndarray:
@@ -416,11 +417,16 @@ def test_ring_values_stacked_rows_equal_single_row_calls(size, nodes):
             np.testing.assert_array_equal(row, on_ring(coeffs, r, nodes))
 
 
-def loop_fold_ring(c: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
+def scaled_terms(c: np.ndarray, radii: tuple[float, ...]) -> np.ndarray:
+    # c_n r^n for each row of c and each radius, built afresh
+    return c[..., None, :] * np.array(radii)[:, None] ** np.arange(c.shape[-1])
+
+
+def loop_fold_ring(c: np.ndarray, radii: tuple[float, ...], nodes: int) -> np.ndarray:
     """The ring as it was folded before the one reshape-sum: a Python loop
     adds each block of nodes scaled terms into the bins in turn."""
     order = c.shape[-1]
-    scaled = (c[..., None, :] if radii.ndim else c) * radii[..., None] ** np.arange(order)
+    scaled = scaled_terms(c, radii)
     for start in range(nodes, order, nodes):
         scaled[..., : min(nodes, order - start)] += scaled[..., start : start + nodes]
     values = np.fft.rfft(scaled, n=nodes)
@@ -430,16 +436,16 @@ def loop_fold_ring(c: np.ndarray, radii: np.ndarray, nodes: int) -> np.ndarray:
 @pytest.mark.parametrize("nodes", [1, 2, 7, 64])
 def test_ring_fold_is_bit_identical_to_the_loop_fold(nodes):
     # orders below, equal to and above nodes, a (2, order) stack and a single
-    # row, a list of radii and a scalar one; half the entries of one row are
-    # -0.0, as a MINUS tail has them, so a bin of them only keeps its sign
-    # if the last block is padded with -0.0
+    # row, three radii and one; half the entries of one row are -0.0, as a
+    # MINUS tail has them, so a bin of them only keeps its sign if the last
+    # block is padded with -0.0
     rng = np.random.default_rng(nodes)
-    radii = np.array([0.0, 0.3, 0.9999])
+    radii = (0.0, 0.3, 0.9999)
     for order in sorted({max(nodes - 1, 1), nodes, nodes + 1, 3 * nodes + 2, 5 * nodes, 300}):
         stack = rng.uniform(-1.0, 1.0, (2, order))
         stack[1, rng.random(order) < 0.5] = -0.0
         for c in (stack, stack[1]):
-            for r in (radii, radii[2]):
+            for r in (radii, radii[2:]):
                 got = _ring(c, r, nodes)
                 want = loop_fold_ring(c, r, nodes)
                 if nodes > 1:
@@ -447,17 +453,33 @@ def test_ring_fold_is_bit_identical_to_the_loop_fold(nodes):
                     continue
                 # at one node the value at z = r is numpy's pairwise sum of
                 # the scaled terms, where the loop added them left to right
-                scaled = (c[..., None, :] if r.ndim else c) * r[..., None] ** np.arange(order)
-                pairwise = np.sum(scaled, axis=-1, keepdims=True, initial=-0.0)
+                pairwise = np.sum(scaled_terms(c, r), axis=-1, keepdims=True, initial=-0.0)
                 assert got.real.tobytes() == pairwise.tobytes()
                 assert not got.imag.any()
                 np.testing.assert_allclose(got, want, rtol=4 * order * EPS, atol=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=0.9999), max_size=6).map(tuple),
+    st.integers(min_value=0, max_value=300),
+)
+def test_the_kept_power_table_is_the_fresh_one_and_read_only(radii, order):
+    # two orders at one set of radii: each is its own table, kept
+    for n in (order, order + 1):
+        kept = _powers(radii, n)
+        fresh = np.array(radii)[:, None] ** np.arange(n)
+        assert kept.shape == fresh.shape and kept.tobytes() == fresh.tobytes()
+        assert _powers(radii, n) is kept and not kept.flags.writeable
+        if kept.size:
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 2.0
+
+
 def test_sample_grid_checks_its_radii_once_and_keeps_them_read_only():
     grid = SampleGrid((0.25, 0.5), 8)
     coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 30))
-    assert grid.values(coeffs).tobytes() == _ring(coeffs, np.array(grid.radii), 8).tobytes()
+    assert grid.values(coeffs).tobytes() == _ring(coeffs, grid.radii, 8).tobytes()
     # a copy is an equal grid with equal values
     for copied in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid), copy.copy(grid)):
         assert copied == grid and hash(copied) == hash(grid)
