@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .classes import _extremal_coeff, coefficient_test
-from .qcore import _MAX_ORDER, ClassParams, _is_count, criterion_weight
+from .qcore import _MAX_ORDER, _TINY, ClassParams, _is_count, criterion_weight
 from .series import PowerSeries, SampleGrid, Sign, _ring
 
 # Multiplicative slack for lhs <= rhs comparisons between circle integrals.
@@ -121,7 +121,7 @@ def _check_integrals(
     in the normal float range.  An integral beyond the double range
     overflows and one below its normal range underflows, a ValueError
     naming the first such circle in C order, overflow before underflow."""
-    overflow, underflow = ~np.isfinite(integrals), integrals < np.finfo(float).tiny
+    overflow, underflow = ~np.isfinite(integrals), integrals < _TINY
     for failed, word in ((overflow, "overflows"), (underflow, "underflows")):
         if failed.any():
             j, *_, i = np.argwhere(failed)[0]
@@ -161,12 +161,12 @@ def sweep_integral_means(
     margin = rhs - lhs.  The lhs is one _integrals call for every radius and
     eta.  The rhs is _extremal_integrals of the coefficient a of
     extremal_function(2), the same numbers for every member at one
-    (a, radii, etas, nodes).  Both sides are checked as one (eta, side, r)
-    stack, so a refusal names the first failing circle of either.  Inputs
-    follow the QuadratureConfig rules: nodes is checked once, at the first
-    value, then each radius and eta in turn, and an empty r_values or
-    eta_values is a ValueError naming it, r_values first: no rows would
-    make every verdict vacuously true."""
+    (a, radii, etas, nodes).  Both sides are written into one preallocated
+    (eta, side, r) array and checked as one, so a refusal names the first
+    failing circle of either.  Inputs follow the QuadratureConfig rules:
+    nodes is checked once, at the first value, then each radius and eta in
+    turn, and an empty r_values or eta_values is a ValueError naming it,
+    r_values first: no rows would make every verdict vacuously true."""
     radii, etas = [], []
     for kept, values, check in ((radii, r_values, _check_r), (etas, eta_values, _check_eta)):
         for value in map(float, values):
@@ -177,8 +177,9 @@ def sweep_integral_means(
         if not values:
             raise ValueError(f"{name} must not be empty")
     radii, etas = tuple(radii), tuple(etas)
-    extremal = _extremal_integrals(_extremal_coeff(2, params), radii, etas, nodes)
-    stacked = np.stack((_integrals(f.full(), radii, etas, nodes), extremal), axis=1)
+    stacked = np.empty((len(etas), 2, len(radii)))
+    stacked[:, 1] = _extremal_integrals(_extremal_coeff(2, params), radii, etas, nodes)
+    stacked[:, 0] = _integrals(f.full(), radii, etas, nodes)
     sides = _check_integrals(stacked, etas, radii).tolist()
     return [
         SweepRow(r, eta, lhs[i], rhs[i], rhs[i] - lhs[i])
@@ -255,7 +256,7 @@ def wilf_positivity(b: Sequence[float], grid: SampleGrid = SampleGrid()) -> floa
     the grid minimum is the numerical evidence on the truncation.
     """
     coeffs = np.concatenate(([0.0], np.asarray(b, dtype=float)))
-    return float(np.min(1.0 + 2.0 * grid.values(coeffs).real))
+    return float((1.0 + 2.0 * grid.values(coeffs).real).min())
 
 
 def wilf_sequence(f: PowerSeries, params: ClassParams) -> np.ndarray:
@@ -308,7 +309,7 @@ def _sharpness_minimum(w2: float, alpha: float, r: float) -> float:
 
 def min_real_part(f: PowerSeries, grid: SampleGrid = SampleGrid()) -> float:
     """Minimum of Re f over the sampling grid."""
-    return float(np.min(grid.values(f.full()).real))
+    return float(grid.values(f.full()).real.min())
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import (ClassParams, _check_count, _is_count, _tables, basic_number,
-                    criterion_weight, criterion_weights)
+from .qcore import (_TINY, ClassParams, _check_count, _is_count, _tables, criterion_weight,
+                    criterion_weights)
 from .series import PowerSeries, SampleGrid, Sign
 
 # |R f(z)| below this is no longer trusted in double precision; the ratio
@@ -80,7 +80,7 @@ def coefficient_test(f: PowerSeries, params: ClassParams) -> MembershipReport:
     weights = criterion_weights(params, order=f.order)
     with np.errstate(over="ignore"):
         contributions = weights * np.abs(f.tail())
-        total = float(np.sum(contributions))
+        total = float(contributions.sum())
     if not math.isfinite(total):
         raise ValueError("the weighted coefficient sum overflows; coefficients are too large")
     budget = 1.0 - params.alpha
@@ -130,25 +130,26 @@ def criterion_min_margin(
     is d = Dn / R f, where Dn = z D_q R f - R f has the coefficients
     ([n] - 1) r_n = q [n-1] r_n of its own, so nothing cancels, and the
     margin is 1 + Re d - alpha - k |d|: at a large k, where |d| is about
-    1 / k, a subtraction W - 1 would leave k eps of rounding.  R f and Dn
-    are the two rows of one array.  A kernel or R f coefficient beyond the
-    double range is a ValueError.
+    1 / k, a subtraction W - 1 would leave k eps of rounding.  The shift
+    factors q [n-1] depend on q alone and are read from the params' table
+    beside the kernel.  R f and Dn are the two rows of one array.  A kernel
+    or R f coefficient beyond the double range is a ValueError.
     """
+    kernel, _, shift, _ = _tables(params, f.order)
     rows = np.zeros((2, f.order + 1))
     rows[0, 1] = 1.0
     with np.errstate(over="ignore"):
-        np.multiply(f.tail(), _tables(params, f.order)[0], out=rows[0, 2:])
+        np.multiply(f.tail(), kernel, out=rows[0, 2:])
     if not np.isfinite(rows[0]).all():
         raise ValueError("series coefficients must be finite")
-    q = params.q
-    rows[1, 2:] = q * basic_number(np.arange(1.0, f.order), q) * rows[0, 2:]
+    np.multiply(shift, rows[0, 2:], out=rows[1, 2:])
     den, dn = grid.values(rows)
-    if np.min(np.abs(den)) < DEGENERATE_TOL:
+    if np.abs(den).min() < DEGENERATE_TOL:
         raise DegenerateDenominatorError(
             "Ruscheweyh transform vanishes at a sample point"
         )
     d = dn / den
-    return float(np.min(1.0 + d.real - params.alpha - params.k * np.abs(d)))
+    return float((1.0 + d.real - params.alpha - params.k * np.abs(d)).min())
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -175,7 +176,7 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
     target = density * (1.0 - params.alpha)
-    if target < np.finfo(float).tiny:
+    if target < _TINY:
         raise ValueError(f"density = {density} is too small: density * (1 - alpha) = "
                          f"{target} is below the normal float range")
     rng = _generator(seed)
@@ -188,12 +189,12 @@ def random_member(params: ClassParams, seed: int, density: float = 0.8) -> Power
             mask[int(rng.integers(m))] = True
         mags = np.where(mask, rng.random(m), 0.0)
     with np.errstate(over="ignore"):
-        scale = target / float(np.sum(weights * mags))
+        scale = target / float((weights * mags).sum())
     # back off by ulps until the recomputed sum cannot exceed the target,
     # so a density-1 draw still certifies as a PASS
-    while scale >= np.finfo(float).tiny and float(np.sum(weights * (mags * scale))) > target:
+    while scale >= _TINY and float((weights * (mags * scale)).sum()) > target:
         scale *= 1.0 - 2.0**-52
-    if scale < np.finfo(float).tiny:
+    if scale < _TINY:
         raise ValueError(
             f"random member coefficients underflow at k = {params.k}, "
             f"lambda = {params.lam}, q = {params.q}: the criterion weights are too large"

@@ -24,6 +24,10 @@ Q_MAX = 1.0 - 1.0e-6
 # order sizes outgrows memory.
 _MAX_ORDER = 2**18
 
+# The smallest normal double, below which a scale or an integral has lost
+# precision.
+_TINY = float(np.finfo(float).tiny)
+
 
 def _check_q(q: float) -> None:
     """The q domain, stated once: q in [Q_MIN, Q_MAX], else a ValueError."""
@@ -51,8 +55,9 @@ class ClassParams:
     the order of generated members; a given series keeps its own order.
     trunc is an integer of at most _MAX_ORDER.
 
-    The kernel and the raw weight table for n = 2..trunc, with the lengths
-    of their finite prefixes, are built once per object, on first use, and
+    The kernel, the raw weight table and the criterion's shift factors
+    q [n-1] for n = 2..trunc, with the lengths of the kernel's and the
+    weights' finite prefixes, are built once per object, on first use, and
     kept, the tables read-only, in the instance dict, outside the fields:
     equality, hashing and dataclasses.replace ignore them, and a pickled or
     copied object carries none and rebuilds its own."""
@@ -81,7 +86,7 @@ class ClassParams:
         return ClassParams, (self.q, self.lam, self.alpha, self.k, self.trunc)
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
         return _build(self, self.trunc)
 
 
@@ -122,31 +127,35 @@ def kernel_coeffs(lam: float, q: float, top: int) -> np.ndarray:
     return kernel
 
 
-def _build(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Kernel and weights ([n](1+k) - k - alpha) * kernel_n for n = 2..top,
-    read-only, and the lengths of their finite prefixes; an overflowing
-    entry is left as +inf."""
+def _build(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Kernel, weights ([n](1+k) - k - alpha) * kernel_n and the criterion's
+    shift factors q [n-1] = [n] - 1, for n = 2..top, read-only, and the
+    lengths of the kernel's and the weights' finite prefixes; an
+    overflowing entry is left as +inf.  The shift factors depend on q
+    alone and are at most 1 / (1 - q), so they are always finite."""
     kernel = kernel_coeffs(params.lam, params.q, top)
     bracket = basic_number(np.arange(2.0, top + 1.0), params.q)
+    shift = params.q * basic_number(np.arange(1.0, top), params.q)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = (bracket * (1.0 + params.k) - params.k - params.alpha) * kernel
-    kernel.flags.writeable = weights.flags.writeable = False
-    return kernel, weights, _finite_prefix(kernel), _finite_prefix(weights)
+    kernel.flags.writeable = weights.flags.writeable = shift.flags.writeable = False
+    return kernel, weights, shift, _finite_prefix(kernel), _finite_prefix(weights)
 
 
-def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Kernel and weights for n = 2..top, read-only, and whether every weight
-    is finite.  A top up to trunc reads prefix slices of the params' tables,
-    checked against their finite-prefix lengths; a longer top, a given
-    series longer than trunc, is built fresh.  A top that is not an integer
-    in [1, _MAX_ORDER] is a ValueError naming the order before anything is
-    built, and so is a kernel entry that overflows, naming lambda and q."""
+def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Kernel, weights and shift factors for n = 2..top, read-only, and
+    whether every weight is finite.  A top up to trunc reads prefix slices
+    of the params' tables, checked against their finite-prefix lengths; a
+    longer top, a given series longer than trunc, is built fresh.  A top
+    that is not an integer in [1, _MAX_ORDER] is a ValueError naming the
+    order before anything is built, and so is a kernel entry that
+    overflows, naming lambda and q."""
     _check_count("order", top, 1, _MAX_ORDER)
     table = params._table if top <= params.trunc else _build(params, top)
-    kernel, weights, finite_kernel, finite_weights = table
+    kernel, weights, shift, finite_kernel, finite_weights = table
     if finite_kernel < top - 1:
         raise ValueError(f"kernel coefficient overflows at lambda = {params.lam}, q = {params.q}")
-    return kernel[: top - 1], weights[: top - 1], finite_weights >= top - 1
+    return kernel[: top - 1], weights[: top - 1], shift[: top - 1], finite_weights >= top - 1
 
 
 def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
@@ -170,7 +179,7 @@ def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarr
     lambda and q, and a weight that overflows, as a k near the float maximum
     makes it, is a ValueError naming k.
     """
-    _, weights, finite = _tables(params, params.trunc if order is None else order)
+    _, weights, _, finite = _tables(params, params.trunc if order is None else order)
     if not finite:
         raise ValueError(f"criterion weights overflow at k = {params.k}, lambda = {params.lam}")
     return weights

@@ -4,6 +4,8 @@ The leading coefficient of z is always an implicit 1.  A series stores only
 the tail magnitudes (a_2, ..., a_N) together with a sign convention: PLUS for
 z + sum a_n z^n with arbitrary real a_n, MINUS for z - sum a_n z^n with
 a_n >= 0 (the negative-coefficient family the membership machinery works in).
+It keeps its ascending coefficients (0, 1, c_2, ..., c_N), c_n = +-a_n, as
+one read-only array, built once: full() returns it and tail() its [2:] view.
 
 The operations are the q-difference derivative, Horner evaluation at
 arbitrary points (poly_eval) and evaluation on circles (SampleGrid.values,
@@ -40,9 +42,10 @@ class Sign(enum.Enum):
 class PowerSeries:
     """coeffs is a tuple of Python floats and sign a Sign; equality and
     hashing read them alone.  The coefficients are checked once, here, and
-    the series keeps its signed tail as a read-only array, which tail()
-    returns and full() reads.  The order is at most qcore's _MAX_ORDER, the
-    trunc ceiling."""
+    the series keeps its ascending coefficients (0, 1, c_2, ..., c_N) as one
+    read-only array, which full() returns, and its signed tail as the [2:]
+    view of it, which tail() returns; neither call copies.  The order is at
+    most qcore's _MAX_ORDER, the trunc ceiling."""
 
     coeffs: tuple[float, ...]
     sign: Sign = Sign.PLUS
@@ -62,14 +65,15 @@ class PowerSeries:
             raise ValueError("series coefficients must be finite")
         if self.sign is Sign.MINUS and (arr < 0.0).any():
             raise ValueError("MINUS-convention series needs nonnegative coefficients")
-        tail = -arr if self.sign is Sign.MINUS else arr
-        tail.flags.writeable = False
+        full = np.concatenate(([0.0, 1.0], -arr if self.sign is Sign.MINUS else arr))
+        full.flags.writeable = False
         object.__setattr__(self, "coeffs", tuple(arr.tolist()))
-        object.__setattr__(self, "_tail", tail)
+        object.__setattr__(self, "_full", full)
+        object.__setattr__(self, "_tail", full[2:])
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through __post_init__, so the copy's
-        # tail is read-only as well
+        # arrays are read-only as well
         return PowerSeries, (self.coeffs, self.sign)
 
     @property
@@ -78,13 +82,14 @@ class PowerSeries:
         return len(self.coeffs) + 1
 
     def tail(self) -> np.ndarray:
-        """Signed coefficients (c_2, ..., c_N), the kept read-only array: no
-        copy is made, for either sign."""
+        """Signed coefficients (c_2, ..., c_N), the read-only [2:] view of
+        the kept full() array: no copy is made, for either sign."""
         return self._tail
 
     def full(self) -> np.ndarray:
-        """Ascending polynomial coefficients (0, 1, c_2, ..., c_N)."""
-        return np.concatenate(([0.0, 1.0], self.tail()))
+        """Ascending polynomial coefficients (0, 1, c_2, ..., c_N), the kept
+        read-only array."""
+        return self._full
 
     def to_dict(self) -> dict:
         return {"sign": self.sign.value, "coeffs": list(self.coeffs)}

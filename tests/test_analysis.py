@@ -485,6 +485,39 @@ def test_a_second_member_builds_no_power_table():
     assert series._powers.cache_info().misses == 4
 
 
+def test_a_second_member_computes_no_q_bracket(monkeypatch):
+    # the shift factors of the criterion and every other bracket of a
+    # certification come from the ClassParams' table, built with the first
+    # member; a second member at those parameters computes none
+    from qstarlike import classes, qcore
+
+    calls = []
+    basic_number = qcore.basic_number
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return basic_number(*args, **kwargs)
+
+    for module in (qcore, series, classes, analysis):
+        if hasattr(module, "basic_number"):
+            monkeypatch.setattr(module, "basic_number", counted)
+    p = ClassParams(q=0.5, lam=1.0, alpha=0.3, k=2.0, trunc=256)
+
+    def certify(seed):
+        f = random_member(p, seed)
+        coefficient_test(f, p)
+        criterion_min_margin(f, p)
+        verify_integral_means(f, p, QuadratureConfig(nodes=default_nodes(p.trunc)))
+        subordination_report(f, p)
+        min_real_part(f)
+
+    certify(1)
+    assert calls
+    calls.clear()
+    certify(2)
+    assert calls == []
+
+
 def test_sweep_rows_and_csv():
     p = ClassParams(q=0.5, trunc=8)
     f = random_member(p, seed=2, density=0.5)

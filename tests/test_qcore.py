@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 from qstarlike.classes import criterion_min_margin, extremal_function
 from qstarlike.qcore import (
+    Q_MAX,
+    Q_MIN,
     ClassParams,
+    _tables,
     basic_number,
     criterion_weight,
     criterion_weights,
@@ -512,6 +515,28 @@ def test_returned_weight_slices_are_read_only():
     longer = criterion_weights(p, order=20)
     assert longer.size == 19 and longer.tobytes() == fresh_weights(p, 20).tobytes()
     assert criterion_weights(p).size == 15
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(min_value=Q_MIN, max_value=Q_MAX),
+    st.integers(min_value=2, max_value=300),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+def test_the_kept_shift_factors_are_the_fresh_ones_and_read_only(q, trunc, share):
+    # an order up to trunc slices the params' table and a longer one builds
+    # fresh; either way the factors q [n-1], n = 2..order, are the bytes
+    # the criterion computed per member before they were kept
+    p = ClassParams(q=q, trunc=trunc)
+    for order in (max(1, int(share * trunc)), trunc, trunc + 1):
+        shift = _tables(p, order)[2]
+        fresh = q * basic_number(np.arange(1.0, order), q)
+        assert shift.shape == fresh.shape and shift.tobytes() == fresh.tobytes()
+        assert not shift.flags.writeable
+        if shift.size:
+            with pytest.raises(ValueError, match="read-only"):
+                shift[0] = 1.0
+    assert _tables(p, trunc)[2].base is _tables(p, 2)[2].base
 
 
 def test_threads_sharing_one_params_object_read_equal_tables():

@@ -388,6 +388,29 @@ def test_series_keeps_its_own_read_only_array():
             copied.tail()[0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "coeffs, sign",
+    [((0.5, 0.25, 0.0), Sign.MINUS), ((0.5, -0.25, 0.0, -0.0), Sign.PLUS), ((), Sign.MINUS)],
+)
+def test_the_kept_full_array_is_the_concatenation_and_read_only(coeffs, sign):
+    # full() is one kept array, built once, and tail() a view of it: the
+    # bytes are those of the concatenation each call made before, -0.0 of
+    # a zero MINUS coefficient included, and neither can be written into
+    f = PowerSeries(coeffs, sign)
+    for series in (f, pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        full, tail = series.full(), series.tail()
+        want = np.concatenate(([0.0, 1.0], tail))
+        assert full.shape == want.shape and full.tobytes() == want.tobytes()
+        assert series.full() is full and tail.base is full
+        assert np.shares_memory(tail, full) or not tail.size
+        for array in (full, tail):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            full[0] = 1.0
+    if sign is Sign.MINUS and coeffs:
+        assert np.signbit(f.full()[-1])
+
+
 def test_series_order_is_capped_at_the_trunc_ceiling():
     assert PowerSeries((0.0,) * (2**18 - 1)).order == 2**18
     with pytest.raises(ValueError, match=r"^series order must be at most 262144, got 262145$"):
