@@ -2,10 +2,10 @@
 
 The package covers four layers: exact q-arithmetic (brackets, Ruscheweyh
 kernel coefficients, criterion weights), truncated power series with the
-q-difference derivative and the Ruscheweyh convolution operator, membership
-machinery (sufficient coefficient test, extremal members, criterion
-sampling), and the verification suite for integral-means and subordination
-results together with their sharp constants.
+q-difference derivative, membership machinery (sufficient coefficient test,
+extremal members, criterion sampling on the Ruscheweyh transform), and the
+verification suite for integral-means and subordination results together
+with their sharp constants.
 """
 
 from .qcore import (

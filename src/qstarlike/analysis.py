@@ -13,10 +13,12 @@ Every circle integral is computed by _integrals, the one caller of
 series._ring here: one real FFT per radius over the closed upper half ring;
 real coefficients make the lower half its conjugate mirror, so the half
 carries every extremum and, with node weights 1, 2, ..., 2, 1, the
-trapezoid rule, which is spectrally accurate for these smooth 2*pi-periodic
-integrands.  It works from the log-modulus: log|f| is taken once per ring,
-and each eta integrates exp(eta log|f|) = |f|^eta, so a zero of f on the
-ring, log 0 = -inf, is the exact 0.  Sums are plain numpy pairwise sums
+trapezoid rule.  It converges geometrically in the node count only while
+|f|^eta is smooth on the ring: where f vanishes on or near the ring and eta
+is not an even integer, the error falls only like nodes^-(1+eta).  It
+works from the log-modulus: log|f| is taken once per ring, and each eta
+integrates exp(eta log|f|) = |f|^eta, so a zero of f on the ring,
+log 0 = -inf, is the exact 0.  Sums are plain numpy pairwise sums
 along the ring, one per eta and row, so results are reproducible run to run
 and a row of a batch is bit-identical to its own single call.  That is why
 the sweep can ring f alone and keep the integrals of f_2 = z - a z^2, which
@@ -63,8 +65,8 @@ class QuadratureConfig:
         _check_eta(self.eta)
 
 
-# The rules of a QuadratureConfig field, one each, for the config and for a
-# sweep, which checks nodes once and each of its radii and etas.
+# The rules of a QuadratureConfig field, one each, shared by the config and
+# by a sweep, which applies the nodes rule once and the others per value.
 def _check_nodes(nodes: int) -> None:
     top = default_nodes(_MAX_ORDER)
     if not (_is_count(nodes) and 16 <= nodes <= top) or nodes & (nodes - 1):
@@ -132,7 +134,9 @@ def _check_integrals(
 def integral_means(f: PowerSeries, cfg: QuadratureConfig) -> float:
     """Trapezoidal value of the integral of |f(r e^{i theta})|^eta over a full
     turn of cfg.nodes uniform nodes, as exp(eta log|f|) from the ring's
-    log-modulus; it converges spectrally in the node count.  An integral
+    log-modulus.  It converges geometrically in the node count while
+    |f|^eta is smooth on the ring, and only like nodes^-(1+eta) where f
+    vanishes on or near it and eta is not an even integer.  An integral
     outside the normal float range is a ValueError naming r and eta."""
     radii, etas = (float(cfg.r),), (float(cfg.eta),)
     return float(_check_integrals(_integrals(f.full(), radii, etas, cfg.nodes), etas, radii)[0, 0])
@@ -163,20 +167,17 @@ def sweep_integral_means(
     extremal_function(2), the same numbers for every member at one
     (a, radii, etas, nodes).  Both sides are written into one preallocated
     (eta, side, r) array and checked as one, so a refusal names the first
-    failing circle of either.  Inputs follow the QuadratureConfig rules:
-    nodes is checked once, at the first value, then each radius and eta in
-    turn, and an empty r_values or eta_values is a ValueError naming it,
-    r_values first: no rows would make every verdict vacuously true."""
-    radii, etas = [], []
-    for kept, values, check in ((radii, r_values, _check_r), (etas, eta_values, _check_eta)):
-        for value in map(float, values):
-            if not (radii or etas):
-                _check_nodes(nodes)
-            kept.append(check(value))
+    failing circle of either.  Inputs follow the QuadratureConfig rules, in
+    this order: nodes, once, when either list has a value; every radius;
+    every eta; then an empty r_values or eta_values is a ValueError naming
+    it, r_values first: no rows would make every verdict vacuously true."""
+    if len(r_values) or len(eta_values):
+        _check_nodes(nodes)
+    radii = tuple(_check_r(float(r)) for r in r_values)
+    etas = tuple(_check_eta(float(eta)) for eta in eta_values)
     for name, values in (("r_values", radii), ("eta_values", etas)):
         if not values:
             raise ValueError(f"{name} must not be empty")
-    radii, etas = tuple(radii), tuple(etas)
     stacked = np.empty((len(etas), 2, len(radii)))
     stacked[:, 1] = _extremal_integrals(_extremal_coeff(2, params), radii, etas, nodes)
     stacked[:, 0] = _integrals(f.full(), radii, etas, nodes)
@@ -239,7 +240,7 @@ def schwarz_witness(f: PowerSeries, params: ClassParams) -> np.ndarray:
 
     w(z) = (weight_2 / (1 - alpha)) * sum |a_n| z^{n-1}; w(0) = 0 by
     construction, and |w(z)| <= |z| on the disc whenever f passes the
-    coefficient test and the criterion weights are nondecreasing in n.
+    coefficient test and w_2 <= w_n for every n.
     """
     if f.sign is not Sign.MINUS:
         raise ValueError("the Schwarz witness is defined for MINUS-convention series")

@@ -135,7 +135,7 @@ def criterion_min_margin(
     beside the kernel.  R f and Dn are the two rows of one array.  A kernel
     or R f coefficient beyond the double range is a ValueError.
     """
-    kernel, _, shift, _ = _tables(params, f.order)
+    kernel, _, shift = _tables(params, f.order)
     rows = np.zeros((2, f.order + 1))
     rows[0, 1] = 1.0
     with np.errstate(over="ignore"):

@@ -40,12 +40,13 @@ from .analysis import (
     sweep_to_csv,
 )
 from .classes import MembershipReport, _generator, coefficient_test, extremal_function, random_member
-from .qcore import Q_MAX, ClassParams, kernel_coeffs
+from .qcore import _MAX_ORDER, Q_MAX, ClassParams, kernel_coeffs
 from .series import PowerSeries, poly_eval, q_derivative
 
 KERNEL_LIMIT_TOL = 1.0e-3
 DERIVATIVE_LIMIT_TOL = 1.0e-4
-NODES_HELP = "quadrature nodes, a power of two in [16, 2^20] (default max(256, 4*order) rounded up)"
+NODES_HELP = (f"quadrature nodes, a power of two in [16, {default_nodes(_MAX_ORDER)}] "
+              "(default max(256, 4*order) rounded up)")
 FORCED_HELP = "proceed even if the series fails the coefficient test"
 
 

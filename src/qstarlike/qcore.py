@@ -55,12 +55,11 @@ class ClassParams:
     the order of generated members; a given series keeps its own order.
     trunc is an integer of at most _MAX_ORDER.
 
-    The kernel, the raw weight table and the criterion's shift factors
-    q [n-1] for n = 2..trunc, with the lengths of the kernel's and the
-    weights' finite prefixes, are built once per object, on first use, and
-    kept, the tables read-only, in the instance dict, outside the fields:
-    equality, hashing and dataclasses.replace ignore them, and a pickled or
-    copied object carries none and rebuilds its own."""
+    The kernel, the weights and the criterion's shift factors q [n-1] for
+    n = 2..trunc are built once per object, on first use, and kept,
+    read-only, in the instance dict, outside the fields: equality, hashing
+    and dataclasses.replace ignore them, and a pickled or copied object
+    carries none and rebuilds its own."""
 
     q: float
     lam: float = 0.0
@@ -86,14 +85,14 @@ class ClassParams:
         return ClassParams, (self.q, self.lam, self.alpha, self.k, self.trunc)
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _build(self, self.trunc)
 
 
-def _finite_prefix(table: np.ndarray) -> int:
-    """How many leading entries of table are finite."""
+def _finite_prefix(table: np.ndarray) -> np.ndarray:
+    """table up to its first entry that is not finite."""
     bad = np.flatnonzero(~np.isfinite(table))
-    return int(bad[0]) if bad.size else table.size
+    return table[: bad[0]] if bad.size else table
 
 
 def basic_number(t, q: float):
@@ -127,35 +126,34 @@ def kernel_coeffs(lam: float, q: float, top: int) -> np.ndarray:
     return kernel
 
 
-def _build(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+def _build(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel, weights ([n](1+k) - k - alpha) * kernel_n and the criterion's
-    shift factors q [n-1] = [n] - 1, for n = 2..top, read-only, and the
-    lengths of the kernel's and the weights' finite prefixes; an
-    overflowing entry is left as +inf.  The shift factors depend on q
-    alone and are at most 1 / (1 - q), so they are always finite."""
+    shift factors q [n-1] = [n] - 1, for n = 2..top, read-only, from one
+    pass of brackets [1..top].  The kernel and the weights end before their
+    first entry beyond the double range, so every kept entry is finite and
+    a table shorter than top - 1 is one that overflows.  The shift factors
+    depend on q alone and are at most 1 / (1 - q), so they run to top."""
     kernel = kernel_coeffs(params.lam, params.q, top)
-    bracket = basic_number(np.arange(2.0, top + 1.0), params.q)
-    shift = params.q * basic_number(np.arange(1.0, top), params.q)
+    bracket = basic_number(np.arange(1.0, top + 1.0), params.q)
+    shift = params.q * bracket[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = (bracket * (1.0 + params.k) - params.k - params.alpha) * kernel
+        weights = (bracket[1:] * (1.0 + params.k) - params.k - params.alpha) * kernel
     kernel.flags.writeable = weights.flags.writeable = shift.flags.writeable = False
-    return kernel, weights, shift, _finite_prefix(kernel), _finite_prefix(weights)
+    return _finite_prefix(kernel), _finite_prefix(weights), shift
 
 
-def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Kernel, weights and shift factors for n = 2..top, read-only, and
-    whether every weight is finite.  A top up to trunc reads prefix slices
-    of the params' tables, checked against their finite-prefix lengths; a
-    longer top, a given series longer than trunc, is built fresh.  A top
-    that is not an integer in [1, _MAX_ORDER] is a ValueError naming the
-    order before anything is built, and so is a kernel entry that
-    overflows, naming lambda and q."""
+def _tables(params: ClassParams, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel, weights and shift factors for n = 2..top, read-only; the
+    weights stop short of top - 1 entries where one overflows.  A top up to
+    trunc reads prefix slices of the params' tables; a longer top, a given
+    series longer than trunc, is built fresh.  A top that is not an integer
+    in [1, _MAX_ORDER] is a ValueError naming the order before anything is
+    built, and so is a kernel entry that overflows, naming lambda and q."""
     _check_count("order", top, 1, _MAX_ORDER)
-    table = params._table if top <= params.trunc else _build(params, top)
-    kernel, weights, shift, finite_kernel, finite_weights = table
-    if finite_kernel < top - 1:
+    kernel, weights, shift = params._table if top <= params.trunc else _build(params, top)
+    if kernel.size < top - 1:
         raise ValueError(f"kernel coefficient overflows at lambda = {params.lam}, q = {params.q}")
-    return kernel[: top - 1], weights[: top - 1], shift[: top - 1], finite_weights >= top - 1
+    return kernel[: top - 1], weights[: top - 1], shift[: top - 1]
 
 
 def ruscheweyh_coeff(n: int, lam: float, q: float) -> float:
@@ -179,8 +177,9 @@ def criterion_weights(params: ClassParams, order: int | None = None) -> np.ndarr
     lambda and q, and a weight that overflows, as a k near the float maximum
     makes it, is a ValueError naming k.
     """
-    _, weights, _, finite = _tables(params, params.trunc if order is None else order)
-    if not finite:
+    top = params.trunc if order is None else order
+    weights = _tables(params, top)[1]
+    if weights.size < top - 1:
         raise ValueError(f"criterion weights overflow at k = {params.k}, lambda = {params.lam}")
     return weights
 

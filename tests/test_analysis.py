@@ -679,6 +679,27 @@ def test_sweep_names_its_first_bad_input(r_values, eta_values, nodes, message):
         sweep_integral_means(f, p, r_values, eta_values, nodes=nodes)
 
 
+BAD_NUMBERS = (0, 1, 0.0, 1.0, -0.5, 2.0, -1, np.nan, np.inf, -np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(min_value=0.05, max_value=0.95), st.sampled_from(BAD_NUMBERS)),
+             min_size=1, max_size=4),
+    st.lists(st.one_of(st.floats(min_value=0.25, max_value=4.0), st.sampled_from(BAD_NUMBERS)),
+             min_size=1, max_size=4),
+    st.one_of(st.sampled_from([16, 256, 100, 0, -256, 2**21, 3 * 2**19, 256.0, True, None]),
+              st.integers(min_value=-64, max_value=4096)),
+)
+def test_sweep_refuses_what_one_config_per_value_refuses(r_values, eta_values, nodes):
+    # the reference builds a QuadratureConfig per radius, then per eta, so
+    # nodes comes first, then every radius, then every eta; the sweep must
+    # name the same first bad input, and compute the same rows otherwise
+    p, f = ClassParams(q=0.5, trunc=8), PowerSeries((0.1, 0.0, -0.05, 0.0, 0.0, 0.0, 0.02))
+    grid = (r_values, eta_values, nodes)
+    assert sweep_outcome(sweep_integral_means, f, p, grid) == sweep_outcome(stacked_sweep, f, p, grid)
+
+
 def test_sweep_refuses_an_empty_grid():
     # no rows would make all(row.holds) vacuously true; the refusal names
     # the empty argument, r_values first

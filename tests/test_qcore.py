@@ -8,7 +8,7 @@ import threading
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qstarlike.classes import criterion_min_margin, extremal_function
@@ -537,6 +537,35 @@ def test_the_kept_shift_factors_are_the_fresh_ones_and_read_only(q, trunc, share
             with pytest.raises(ValueError, match="read-only"):
                 shift[0] = 1.0
     assert _tables(p, trunc)[2].base is _tables(p, 2)[2].base
+
+
+def finite_prefix(table: np.ndarray) -> np.ndarray:
+    """table up to its first entry that is not finite."""
+    finite = np.isfinite(table)
+    return table if finite.all() else table[: int(np.argmin(finite))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(st.just(NEAR_ONE), st.floats(min_value=Q_MIN, max_value=Q_MAX)),
+    st.floats(min_value=-0.99, max_value=1000.0),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e308)),
+    st.integers(min_value=2, max_value=2000),
+)
+@example(NEAR_ONE, 1000.0, 0.0, 2000)
+@example(0.5, 0.0, 1e308, 64)
+def test_kept_tables_end_at_their_finite_prefix(q, lam, k, trunc):
+    # a params' kernel and weights keep only entries in the double range,
+    # and stop where a fresh build first leaves it: at q near 1 a large lam
+    # overflows the kernel, and a k near the float maximum the weights
+    p = ClassParams(q=q, lam=lam, alpha=0.3, k=k, trunc=trunc)
+    kernel, weights, _ = p._table
+    fresh = kernel_coeffs(lam, q, trunc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fresh_weights = (basic_number(np.arange(2.0, trunc + 1.0), q) * (1.0 + k) - k - 0.3) * fresh
+    for kept, built in ((kernel, fresh), (weights, fresh_weights)):
+        assert np.isfinite(kept).all()
+        assert kept.tobytes() == finite_prefix(built).tobytes()
 
 
 def test_threads_sharing_one_params_object_read_equal_tables():
